@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-node profile-fig3 trace-fig3 serve-drill live-drill cascade-drill
+.PHONY: test bench bench-smoke bench-node profile-fig3 trace-fig3 serve-drill live-drill cascade-drill scenario-drill
 
 test:
 	$(PYTHON) -m pytest tests -q
@@ -29,6 +29,12 @@ serve-drill:
 # require a digest identical to a never-killed run (tools/live_drill.py).
 live-drill:
 	$(PYTHON) tools/live_drill.py
+
+# Adversarial scenario packs vs committed goldens: a recorded fork under
+# amores-cachin-delay, none under sissle-fixed, serial == --jobs 2 for the
+# fork_threshold sweep (see tools/scenario_drill.py).
+scenario-drill:
+	$(PYTHON) tools/scenario_drill.py
 
 # Health-family contract check: cascade collapse curves vs committed
 # goldens, Table II's point at the final outage wave, serial == --jobs 2

@@ -7,19 +7,15 @@ one from :class:`~repro.synthetic.records.TransactionRecord` lists is the
 synthetic equivalent of the authors' extract-transform step over the raw
 ledger.
 
-Every numeric column — including the ``int8`` kind codes that replace the
-old ``dtype=object`` kind strings — lives in **one contiguous byte
-buffer**; the column arrays are views into it at the offsets
-:func:`column_layout` computes.  That single-buffer shape is what makes
-the dataset shareable: :mod:`repro.parallel.shm` copies the same layout
-into a ``multiprocessing.shared_memory`` segment and hands workers a
-``(segment, offset, rows)`` descriptor instead of a pickle of the arrays.
+Transaction kinds are factorized into ``int8`` codes plus a vocabulary,
+so shipping a row slice to a worker moves one byte per row instead of a
+Python string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,60 +24,6 @@ from repro.ledger.accounts import AccountID
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.synthetic.records import TransactionRecord
-
-#: The shareable numeric columns in buffer order: ``(field, dtype)``.
-#: Explicit byte orders keep a descriptor meaningful across processes and
-#: machines; the layout is the contract between the in-process dataset,
-#: the shared-memory publisher, and the worker-side reconstruction.
-NUMERIC_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("timestamps", "<i8"),
-    ("sender_ids", "<i8"),
-    ("destination_ids", "<i8"),
-    ("currency_ids", "<i8"),
-    ("amounts", "<f8"),
-    ("intermediate_hops", "<i8"),
-    ("parallel_paths", "<i8"),
-    ("is_xrp_direct", "|b1"),
-    ("cross_currency", "|b1"),
-    ("kind_codes", "|i1"),
-)
-
-
-def column_layout(n_rows: int) -> Tuple[List[Tuple[str, str, int]], int]:
-    """``([(name, dtype, byte offset), ...], total bytes)`` for ``n_rows``.
-
-    Columns are packed in :data:`NUMERIC_COLUMNS` order, each starting on
-    an 8-byte boundary so every view is aligned for its dtype regardless
-    of how many rows precede it.
-    """
-    layout: List[Tuple[str, str, int]] = []
-    offset = 0
-    for name, dtype in NUMERIC_COLUMNS:
-        layout.append((name, dtype, offset))
-        nbytes = n_rows * np.dtype(dtype).itemsize
-        offset += (nbytes + 7) // 8 * 8
-    return layout, offset
-
-
-def consolidate_columns(
-    columns: Dict[str, np.ndarray], n_rows: int, out=None
-) -> Tuple[object, Dict[str, np.ndarray]]:
-    """Pack ``columns`` into one contiguous buffer; return (buffer, views).
-
-    ``out`` is an optional pre-allocated writable buffer (e.g. a
-    ``multiprocessing.shared_memory`` block) of at least the layout's
-    total size; by default a process-private ``bytearray`` is allocated.
-    The returned views alias the buffer — writing one writes the other —
-    which is exactly the zero-copy property the shard executor relies on.
-    """
-    layout, total = column_layout(n_rows)
-    buffer = bytearray(total) if out is None else out
-    views: Dict[str, np.ndarray] = {}
-    for name, dtype, offset in layout:
-        view = np.frombuffer(buffer, dtype=dtype, count=n_rows, offset=offset)
-        view[:] = columns[name]
-        views[name] = view
-    return buffer, views
 
 
 @dataclass
@@ -194,42 +136,34 @@ class TransactionDataset:
         if len(kind_vocab) > 127:
             raise AnalysisError("more than 127 payment kinds; int8 overflow")
 
-        # One consolidation pass packs every column into a single
-        # contiguous buffer; the dataset's arrays are views into it.
-        _buffer, views = consolidate_columns(
-            {
-                "timestamps": np.fromiter(
-                    (r.timestamp for r in rows), dtype=np.int64, count=n
-                ),
-                "sender_ids": np.array(sender_list, dtype=np.int64),
-                "destination_ids": np.array(destination_list, dtype=np.int64),
-                "currency_ids": np.array(currency_list, dtype=np.int64),
-                "amounts": np.fromiter(
-                    (r.amount for r in rows), dtype=np.float64, count=n
-                ),
-                "intermediate_hops": np.fromiter(
-                    (r.intermediate_hops for r in rows), dtype=np.int64, count=n
-                ),
-                "parallel_paths": np.fromiter(
-                    (r.parallel_paths for r in rows), dtype=np.int64, count=n
-                ),
-                "is_xrp_direct": np.fromiter(
-                    (r.is_xrp_direct for r in rows), dtype=bool, count=n
-                ),
-                "cross_currency": np.fromiter(
-                    (r.cross_currency for r in rows), dtype=bool, count=n
-                ),
-                "kind_codes": np.array(kind_list, dtype=np.int8),
-            },
-            n,
-        )
         return cls(
             accounts=accounts,
             currencies=currencies,
+            timestamps=np.fromiter(
+                (r.timestamp for r in rows), dtype=np.int64, count=n
+            ),
+            sender_ids=np.array(sender_list, dtype=np.int64),
+            destination_ids=np.array(destination_list, dtype=np.int64),
+            currency_ids=np.array(currency_list, dtype=np.int64),
+            amounts=np.fromiter(
+                (r.amount for r in rows), dtype=np.float64, count=n
+            ),
+            intermediate_hops=np.fromiter(
+                (r.intermediate_hops for r in rows), dtype=np.int64, count=n
+            ),
+            parallel_paths=np.fromiter(
+                (r.parallel_paths for r in rows), dtype=np.int64, count=n
+            ),
+            is_xrp_direct=np.fromiter(
+                (r.is_xrp_direct for r in rows), dtype=bool, count=n
+            ),
+            cross_currency=np.fromiter(
+                (r.cross_currency for r in rows), dtype=bool, count=n
+            ),
+            kind_codes=np.array(kind_list, dtype=np.int8),
             kind_vocab=kind_vocab,
             _account_index=account_index,
             _currency_index=currency_index,
-            **views,
         )
 
     # Accessors --------------------------------------------------------------------

@@ -82,7 +82,6 @@ from repro.core.robustness import PeriodReport, run_period
 from repro.obs.manifest import RUN
 from repro.obs.trace import TRACER
 from repro.parallel.sharding import shard_ranges
-from repro.parallel.shm import shard_fn, shared_shards
 from repro.stream.periods import PERIODS, period
 from repro.synthetic.config import EconomyConfig
 from repro.synthetic.generator import generate_history
@@ -153,14 +152,11 @@ def _dataset_context(args: ArtifactRequest) -> TransactionDataset:
 
 
 def dataset_shards(dataset: TransactionDataset, n_shards: int) -> List:
-    """Contiguous row shards sharing the dataset's global factorization.
-
-    Multi-shard plans are published once into shared memory and returned
-    as zero-copy :class:`~repro.parallel.shm.ShardDescriptor` handles
-    (workers attach instead of unpickling arrays); single-shard plans and
-    publish failures fall back to in-process row slices.
-    """
-    return shared_shards(dataset, n_shards)
+    """Contiguous row shards sharing the dataset's global factorization."""
+    return [
+        dataset.slice_rows(start, stop)
+        for start, stop in shard_ranges(len(dataset), n_shards)
+    ]
 
 
 def _sequence_shards(items, n_shards: int) -> List:
@@ -218,7 +214,7 @@ register(
     sharded=ShardedCompute(
         prepare=_dataset_context,
         shards=dataset_shards,
-        compute_shard=shard_fn(figure3_shard_partial),
+        compute_shard=figure3_shard_partial,
         merge=lambda partials, dataset: merge_figure3_partials(partials),
     ),
 )
@@ -258,7 +254,7 @@ register(
     sharded=ShardedCompute(
         prepare=_dataset_context,
         shards=dataset_shards,
-        compute_shard=shard_fn(figure5_shard_partial),
+        compute_shard=figure5_shard_partial,
         merge=lambda partials, dataset: merge_figure5_partials(partials),
     ),
 )
@@ -352,7 +348,7 @@ register(
     sharded=ShardedCompute(
         prepare=_dataset_context,
         shards=dataset_shards,
-        compute_shard=shard_fn(population_shard_partial),
+        compute_shard=population_shard_partial,
         merge=lambda partials, dataset: merge_population_partials(partials),
     ),
 )

@@ -216,10 +216,8 @@ class Artifact:
         ``argparse.Namespace`` (or any attribute bag) is lifted through
         :meth:`ArtifactRequest.of` at this boundary.  Serial
         (``compute``) unless the artifact has a sharded contract *and*
-        the request asks for more than one worker; the execution engine
-        itself falls back to serial when parallelism is disabled via
-        ``REPRO_DISABLE_PARALLEL=1``.  Sharded merges return bare
-        payloads; :meth:`ArtifactResult.wrap` lifts either form, so
+        the request asks for more than one worker.  Sharded merges return
+        bare payloads; :meth:`ArtifactResult.wrap` lifts either form, so
         callers always get an :class:`ArtifactResult`.
         """
         from repro.parallel.engine import run_compute

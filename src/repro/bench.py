@@ -249,7 +249,6 @@ def bench_pipeline(
         merge_figure3_partials,
     )
     from repro.parallel.engine import effective_jobs, map_shards
-    from repro.parallel.shm import release_shards, shard_fn
     from repro.synthetic.config import EconomyConfig
     from repro.synthetic.generator import LedgerHistoryGenerator
 
@@ -270,31 +269,20 @@ def bench_pipeline(
     jobs = effective_jobs(jobs=jobs)
 
     def parallel_fig3() -> tuple:
-        """One production-path sharded run: publish -> map -> merge."""
+        """One production-path sharded run: slice -> map -> merge."""
         start = time.perf_counter()
         shards = dataset_shards(dataset, jobs)
-        try:
-            partials = map_shards(
-                "fig3", shard_fn(figure3_shard_partial), shards, jobs
-            )
-            merged = merge_figure3_partials(partials)
-        finally:
-            release_shards(shards)
+        partials = map_shards("fig3", figure3_shard_partial, shards, jobs)
+        merged = merge_figure3_partials(partials)
         return merged, time.perf_counter() - start
 
-    if jobs > 1:
-        # Cold first: pays the pool spawn and first shm publish.  Warm
-        # second: what every artifact after the first sees in a run —
-        # the number the speedup gate reasons about.
-        merged, fig3_cold_s = parallel_fig3()
-        merged_warm, fig3_parallel_s = parallel_fig3()
-        if merged_warm != merged:  # pragma: no cover - determinism guard
-            raise RuntimeError("warm sharded fig3 diverged from cold run")
-    else:  # kill switch set: record the serial path under the parallel key
-        start = time.perf_counter()
-        merged = Deanonymizer(dataset).figure3()
-        fig3_parallel_s = time.perf_counter() - start
-        fig3_cold_s = fig3_parallel_s
+    # Cold first: pays the pool spawn.  Warm second: what every artifact
+    # after the first sees in a run — the number the speedup gate
+    # reasons about.
+    merged, fig3_cold_s = parallel_fig3()
+    merged_warm, fig3_parallel_s = parallel_fig3()
+    if merged_warm != merged:  # pragma: no cover - determinism guard
+        raise RuntimeError("warm sharded fig3 diverged from cold run")
     if merged != gains:  # pragma: no cover - determinism regression guard
         raise RuntimeError("sharded fig3 diverged from the serial result")
 

@@ -421,8 +421,7 @@ def _common_parent() -> argparse.ArgumentParser:
     parent.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for sharded artifacts "
                              "(default 1 = serial; output is bit-identical "
-                             "either way; REPRO_DISABLE_PARALLEL=1 forces "
-                             "serial)")
+                             "either way)")
     parent.add_argument("--resume", action="store_true", default=False,
                         help="checkpoint each completed shard under "
                              "$REPRO_RESUME_DIR (default .repro-resume) and "

@@ -8,15 +8,13 @@ record shards, each worker computes an order-independently mergeable
 partial, and the reduce is bit-for-bit identical to the serial path —
 ``--jobs 4`` and ``--jobs 1`` print the same bytes.
 
-Serial fallbacks, in precedence order: ``REPRO_DISABLE_PARALLEL=1``
-(environment kill switch), ``--jobs 1`` / no ``--jobs`` flag, an artifact
-without a sharded contract.  Worker crashes resubmit the failed shard a
-bounded number of times (the PR 2 :class:`repro.node.RetryPolicy`) before
+The serial path runs for ``--jobs 1`` / no ``--jobs`` flag and for an
+artifact without a sharded contract.  Worker crashes resubmit the failed
+shard a bounded number of times (:class:`repro.node.RetryPolicy`) before
 the parent computes the shard itself.
 """
 
 from repro.parallel.engine import (
-    DISABLE_ENV,
     effective_jobs,
     map_shards,
     run_compute,
@@ -24,7 +22,6 @@ from repro.parallel.engine import (
 from repro.parallel.sharding import shard_ranges
 
 __all__ = [
-    "DISABLE_ENV",
     "effective_jobs",
     "map_shards",
     "run_compute",

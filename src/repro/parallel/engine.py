@@ -4,15 +4,12 @@ Execution model for an artifact with a :class:`ShardedCompute` contract:
 
 1. ``prepare(request)`` runs in the parent (dataset build, replay, …);
 2. ``shards(context, jobs)`` splits the context into contiguous shards —
-   for dataset artifacts these are :class:`repro.parallel.shm.ShardDescriptor`
-   handles over one shared-memory segment, a few hundred pickled bytes
-   per shard instead of the shard's arrays;
+   for dataset artifacts, row slices sharing the parent's factorization;
 3. each shard is submitted to the **persistent warm worker pool**
    (:mod:`repro.parallel.pool` — spawned lazily once per process, reused
    by every later artifact) whose worker applies ``compute_shard`` and
    returns ``(partial, seconds, perf_snapshot)``;
-4. ``merge(partials, context)`` reduces in the parent, in shard order,
-   and the parent unlinks the shared segment.
+4. ``merge(partials, context)`` reduces in the parent, in shard order.
 
 Failure handling reuses the PR 2 retry policy: a shard whose worker
 raises — or whose pool dies underneath it — is resubmitted up to
@@ -20,8 +17,7 @@ raises — or whose pool dies underneath it — is resubmitted up to
 is applied as real *milliseconds* here; resubmission needs spacing, not
 ledger-scale waits).  A shard that still fails is computed in the parent
 process, so a broken pool degrades to the serial path instead of losing
-the artifact.  ``REPRO_DISABLE_PARALLEL=1`` short-circuits everything to
-the serial ``compute``.
+the artifact.
 
 Durability extensions (PR 4):
 
@@ -59,10 +55,6 @@ from repro.obs.manifest import RUN
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.parallel import pool as warm_pool
-from repro.parallel.shm import ShardDescriptor, release_shards
-
-#: Environment kill switch: any non-empty value other than "0" forces serial.
-DISABLE_ENV = "REPRO_DISABLE_PARALLEL"
 
 #: Per-shard watchdog timeout in (real) seconds; unset/empty/0 disables.
 SHARD_TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT"
@@ -74,33 +66,38 @@ SHARD_RETRY_POLICY = RetryPolicy(
 )
 
 
-def parallel_disabled() -> bool:
-    return os.environ.get(DISABLE_ENV, "") not in ("", "0")
-
-
 def shard_timeout() -> Optional[float]:
-    """The watchdog timeout from the environment, or None when disabled."""
-    raw = os.environ.get(SHARD_TIMEOUT_ENV, "")
+    """The watchdog timeout from the environment, or None when disabled.
+
+    Unset, empty and ``0`` mean "off"; anything else must be a positive,
+    finite number of seconds.  A malformed or negative value raises
+    instead of reading as "off", so a typo cannot silently disable the
+    watchdog the caller asked for.
+    """
+    raw = os.environ.get(SHARD_TIMEOUT_ENV, "").strip()
     if not raw:
         return None
     try:
         value = float(raw)
     except ValueError:
-        return None
+        value = -1.0
+    if not 0 <= value < float("inf"):  # also rejects "nan"
+        raise ValueError(
+            f"{SHARD_TIMEOUT_ENV} must be a number of seconds "
+            f"(0 or unset disables the watchdog), got {raw!r}"
+        )
     return value if value > 0 else None
 
 
 def effective_jobs(
     args: Optional[Any] = None, jobs: Optional[int] = None
 ) -> int:
-    """Worker count after applying the kill switch and request defaults.
+    """Worker count after applying request defaults (at least 1).
 
     ``args`` is any request carrier with a ``jobs`` attribute — a typed
     :class:`~repro.api.request.ArtifactRequest` on the production path,
     or any attribute bag in tests/embeddings.
     """
-    if parallel_disabled():
-        return 1
     if jobs is None:
         jobs = getattr(args, "jobs", None)
     if not jobs:
@@ -127,11 +124,11 @@ def _journal_for(artifact_name: str, args: Any, shards):
 def run_compute(artifact, args: Any) -> Any:
     """Compute an artifact's payload, sharding when possible and asked.
 
-    The serial ``compute`` runs when the artifact has no sharded contract,
-    when fewer than two workers are requested, or when the kill switch is
-    set — those paths never touch multiprocessing at all.  With
-    ``--resume`` the shard results are journaled under
-    ``$REPRO_RESUME_DIR`` and a rerun recomputes only what is missing.
+    The serial ``compute`` runs when the artifact has no sharded contract
+    or when fewer than two workers are requested — those paths never
+    touch multiprocessing at all.  With ``--resume`` the shard results
+    are journaled under ``$REPRO_RESUME_DIR`` and a rerun recomputes only
+    what is missing.
     """
     jobs = effective_jobs(args)
     sharded = artifact.sharded
@@ -149,25 +146,18 @@ def run_compute(artifact, args: Any) -> Any:
         plan_fingerprint=plan_fingerprint(shards),
         shards=len(shards),
         jobs=jobs,
-        zero_copy=any(isinstance(s, ShardDescriptor) for s in shards),
     )
     journal = _journal_for(artifact.name, args, shards)
-    try:
-        if len(shards) == 1 and journal is None:
-            partials = [sharded.compute_shard(shards[0])]
-        else:
-            partials = map_shards(
-                artifact.name, sharded.compute_shard, shards, jobs,
-                journal=journal,
-            )
-        with METRICS.timer(f"parallel.{artifact.name}.merge"), \
-                TRACER.span(f"parallel.{artifact.name}.merge"):
-            return sharded.merge(partials, context)
-    finally:
-        # Partials hold no views into the segment (they are reductions),
-        # so the shared columns can be unlinked as soon as the merge is
-        # done — artifact invocations never accumulate /dev/shm space.
-        release_shards(shards)
+    if len(shards) == 1 and journal is None:
+        partials = [sharded.compute_shard(shards[0])]
+    else:
+        partials = map_shards(
+            artifact.name, sharded.compute_shard, shards, jobs,
+            journal=journal,
+        )
+    with METRICS.timer(f"parallel.{artifact.name}.merge"), \
+            TRACER.span(f"parallel.{artifact.name}.merge"):
+        return sharded.merge(partials, context)
 
 
 # Worker side ---------------------------------------------------------------
@@ -206,12 +196,9 @@ def _call_shard(
 def _start_method() -> str:
     """Fork when the platform has it (cheap), else spawn.
 
-    ``REPRO_MP_START`` overrides for debugging; shard functions are
-    module-level, so both start methods can unpickle them.
+    Shard functions are module-level, so both start methods can unpickle
+    them.
     """
-    override = os.environ.get("REPRO_MP_START", "")
-    if override:
-        return override
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 

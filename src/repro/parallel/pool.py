@@ -14,13 +14,11 @@ call:
 * :func:`discard` destroys a pool the caller saw break (crashed or hung
   worker).  Teardown is atomic with respect to the cache — the cache is
   emptied *before* any process is signalled, so no later ``acquire`` can
-  see a dying pool — and finishes with a shared-memory stale-segment
-  sweep, mirroring the durability layer's stale-temp sweep: a watchdog
-  kill reclaims orphaned ``/dev/shm`` segments on the spot.
+  see a dying pool.
 
 An ``atexit`` hook shuts the warm pool down on interpreter exit; a
 ``kill -9`` of the whole process is covered by the OS reaping the worker
-children and by the next run's stale-segment sweep.
+children.
 """
 
 from __future__ import annotations
@@ -88,12 +86,10 @@ def release(executor: ProcessPoolExecutor, jobs: int, mp_context) -> None:
 
 
 def discard(executor: ProcessPoolExecutor) -> None:
-    """Destroy a broken or hung pool and reclaim what it may have leaked.
+    """Destroy a broken or hung pool.
 
     Hung workers never join, so the processes are terminated first
-    (best effort over CPython's ``_processes`` bookkeeping), then reaped;
-    the stale shared-memory sweep runs last, after the killers above, so
-    segments orphaned by the dead workers' parent runs are reclaimed.
+    (best effort over CPython's ``_processes`` bookkeeping), then reaped.
     """
     processes = getattr(executor, "_processes", None) or {}
     for process in list(processes.values()):
@@ -103,9 +99,6 @@ def discard(executor: ProcessPoolExecutor) -> None:
             pass
     executor.shutdown(wait=True, cancel_futures=True)
     METRICS.count("parallel.pool.discarded")
-    from repro.parallel.shm import sweep_stale_segments
-
-    sweep_stale_segments()
 
 
 def shutdown() -> None:

@@ -68,3 +68,16 @@ class TestFromRecordsEquivalence:
                 subset.rows_for_currency(code),
                 subset.currency_ids == subset.currencies.index(code),
             )
+
+
+def test_kind_codes_compat(dataset):
+    # Kinds live as int8 codes + vocab, while the historical string-array
+    # view stays available as a property.
+    assert dataset.kind_codes.dtype == np.int8
+    assert len(dataset.kind_vocab) <= 127
+    decoded = dataset.kinds
+    assert decoded.dtype == object
+    assert set(decoded) == set(dataset.kind_vocab)
+    window = dataset.slice_rows(10, 200)
+    assert window.kind_vocab == dataset.kind_vocab
+    assert list(window.kinds) == list(decoded[10:200])

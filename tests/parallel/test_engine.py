@@ -9,13 +9,14 @@ finds itself in a different process.  That way the engine's last-resort
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 
 import pytest
 
 from repro.node import RetryPolicy
+from repro.parallel import pool
 from repro.parallel.engine import (
-    DISABLE_ENV,
     effective_jobs,
     map_shards,
     run_compute,
@@ -69,12 +70,6 @@ class TestEffectiveJobs:
         assert effective_jobs(jobs=3) == 3
         assert effective_jobs(jobs=0) == 1
         assert effective_jobs(jobs=-2) == 1
-
-    def test_kill_switch_forces_serial(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_ENV, "1")
-        assert effective_jobs(jobs=8) == 1
-        monkeypatch.setenv(DISABLE_ENV, "0")
-        assert effective_jobs(jobs=8) == 8
 
 
 # Shard functions must live at module level so workers unpickle them by
@@ -176,8 +171,11 @@ class TestShardWatchdog:
         assert shard_timeout() == 2.5
         monkeypatch.setenv(SHARD_TIMEOUT_ENV, "0")
         assert shard_timeout() is None
-        monkeypatch.setenv(SHARD_TIMEOUT_ENV, "banana")
-        assert shard_timeout() is None
+        # A typo must not silently switch the watchdog off.
+        for bad in ("banana", "30s", "-1", "nan"):
+            monkeypatch.setenv(SHARD_TIMEOUT_ENV, bad)
+            with pytest.raises(ValueError, match=SHARD_TIMEOUT_ENV):
+                shard_timeout()
 
     def test_hung_worker_falls_back_to_parent(self):
         # Workers hang 60 s; a 0.5 s watchdog must cancel them, exhaust the
@@ -252,12 +250,6 @@ class TestRunCompute:
         assert run_compute(fake, argparse.Namespace(jobs=None)) == "serial"
         assert fake.compute_calls == 2
 
-    def test_kill_switch_forces_serial(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_ENV, "1")
-        fake = _FakeArtifact(sharded=_Contract())
-        assert run_compute(fake, argparse.Namespace(jobs=4)) == "serial"
-        assert fake.compute_calls == 1
-
     def test_sharded_path_merges_partials(self):
         fake = _FakeArtifact(sharded=_Contract())
         assert run_compute(fake, argparse.Namespace(jobs=3)) == sum(range(10))
@@ -267,3 +259,25 @@ class TestRunCompute:
         fake = _FakeArtifact(sharded=_Contract())
         fake.sharded.shards = lambda items, jobs: [items]
         assert run_compute(fake, argparse.Namespace(jobs=4)) == sum(range(10))
+
+
+def test_warm_pool_persists_and_reshapes():
+    context = multiprocessing.get_context("fork")
+    pool.shutdown()
+    assert not pool.warm_pool_alive()
+
+    first = pool.acquire(2, context)
+    pool.release(first, 2, context)
+    assert pool.warm_pool_alive()
+
+    # Same shape: the exact executor comes back, workers and all.
+    again = pool.acquire(2, context)
+    assert again is first
+    pool.release(again, 2, context)
+
+    # Different worker count: not reusable, replaced by a fresh pool.
+    reshaped = pool.acquire(3, context)
+    assert reshaped is not first
+    pool.discard(reshaped)
+    assert not pool.warm_pool_alive()
+    pool.shutdown()  # idempotent

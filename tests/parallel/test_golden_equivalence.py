@@ -34,15 +34,3 @@ def test_cli_sharded_matches_serial_bytes(command, jobs, tmp_path, capsys):
     capsys.readouterr()
     assert serial.read_bytes() == sharded.read_bytes()
     assert _sha256(serial) == _sha256(sharded)
-
-
-def test_disable_env_output_still_matches(tmp_path, capsys, monkeypatch):
-    # The kill switch routes --jobs 4 through the serial path; the artifact
-    # must be the one the user would have gotten either way.
-    baseline = tmp_path / "baseline.txt"
-    disabled = tmp_path / "disabled.txt"
-    assert main(["fig3", *SMALL, "--out", str(baseline)]) == 0
-    monkeypatch.setenv("REPRO_DISABLE_PARALLEL", "1")
-    assert main(["fig3", *SMALL, "--jobs", "4", "--out", str(disabled)]) == 0
-    capsys.readouterr()
-    assert baseline.read_bytes() == disabled.read_bytes()
