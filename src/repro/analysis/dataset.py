@@ -37,7 +37,7 @@ class TransactionDataset:
     ``kind_codes`` is an ``int8`` column indexing into ``kind_vocab``
     (first-appearance order); the legacy string view is available through
     the :attr:`kinds` property.  The factorization *indexes* are built
-    lazily on first lookup — shard workers that only touch the numeric
+    lazily on first lookup — analyses that only touch the numeric
     columns never pay for hashing every account.
     """
 
@@ -216,32 +216,6 @@ class TransactionDataset:
             is_xrp_direct=self.is_xrp_direct[mask],
             cross_currency=self.cross_currency[mask],
             kind_codes=self.kind_codes[mask],
-            kind_vocab=self.kind_vocab,
-            _account_index=self._account_index,
-            _currency_index=self._currency_index,
-        )
-
-    def slice_rows(self, start: int, stop: int) -> "TransactionDataset":
-        """A contiguous row shard ``[start, stop)`` for parallel execution.
-
-        The factorization dictionaries (``accounts``, ``currencies``) are
-        shared with the parent dataset, so sender/destination/currency ids
-        in a shard mean exactly what they mean globally — per-shard
-        partials can be merged without re-aligning identifiers.
-        """
-        return TransactionDataset(
-            accounts=self.accounts,
-            currencies=self.currencies,
-            timestamps=self.timestamps[start:stop],
-            sender_ids=self.sender_ids[start:stop],
-            destination_ids=self.destination_ids[start:stop],
-            currency_ids=self.currency_ids[start:stop],
-            amounts=self.amounts[start:stop],
-            intermediate_hops=self.intermediate_hops[start:stop],
-            parallel_paths=self.parallel_paths[start:stop],
-            is_xrp_direct=self.is_xrp_direct[start:stop],
-            cross_currency=self.cross_currency[start:stop],
-            kind_codes=self.kind_codes[start:stop],
             kind_vocab=self.kind_vocab,
             _account_index=self._account_index,
             _currency_index=self._currency_index,

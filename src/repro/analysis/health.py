@@ -417,7 +417,7 @@ def settlability_outcomes(
     seed: int = 0,
     banned: Optional[Set[AccountID]] = None,
 ) -> List[bool]:
-    """Per-pair settlability outcomes, in sample order (shardable tally)."""
+    """Per-pair settlability outcomes, in sample order."""
     return [
         pair_settles(state, source, target, currency, amount, banned=banned)
         for source, target, currency in sample_pairs(state, wallets, pairs, seed)

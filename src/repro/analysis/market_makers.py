@@ -106,10 +106,9 @@ def replay_outcomes(
     """Run the Table II counterfactual; one ``(is_cross_currency,
     delivered)`` outcome per replayed payment, in replay order.
 
-    The replay itself is inherently sequential — every delivered payment
-    consumes liquidity the next payments see — so it always runs in one
-    process; only the outcome *tally* is shardable (see
-    :func:`tally_outcomes` / :func:`merge_replay_results`).
+    The replay is inherently sequential — every delivered payment
+    consumes liquidity the next payments see — so it runs in one
+    process; :func:`tally_outcomes` counts the outcomes into Table II.
 
     With ``remove_market_makers=False`` the same replay runs on the intact
     network — the control measuring replay fidelity rather than the attack.
@@ -205,7 +204,7 @@ def replay_with_state(
 
 
 def tally_outcomes(outcomes: Sequence[Tuple[bool, bool]]) -> ReplayResult:
-    """Count replay outcomes into Table II rows (pure, shardable)."""
+    """Count replay outcomes into Table II rows."""
     result = ReplayResult()
     for is_cross_currency, delivered in outcomes:
         row = (
@@ -215,17 +214,6 @@ def tally_outcomes(outcomes: Sequence[Tuple[bool, bool]]) -> ReplayResult:
         if delivered:
             row.delivered += 1
     return result
-
-
-def merge_replay_results(partials: Sequence[ReplayResult]) -> ReplayResult:
-    """Sum per-shard tallies (integer addition — order-independent)."""
-    merged = ReplayResult()
-    for partial in partials:
-        merged.cross_currency.submitted += partial.cross_currency.submitted
-        merged.cross_currency.delivered += partial.cross_currency.delivered
-        merged.single_currency.submitted += partial.single_currency.submitted
-        merged.single_currency.delivered += partial.single_currency.delivered
-    return merged
 
 
 def replay_without_market_makers(

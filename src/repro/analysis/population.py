@@ -10,7 +10,7 @@ the growth of payment volume over time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -68,75 +68,6 @@ def _gini(values: np.ndarray) -> float:
     # Standard formula: 1 + 1/n - 2 * sum((n + 1 - i) x_i) / (n * total)
     index = np.arange(1, n + 1)
     return float((2 * np.sum(index * sorted_values) - (n + 1) * total) / (n * total))
-
-
-# Sharded execution ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PopulationPartial:
-    """One shard's mergeable population counts.
-
-    ``sender_counts`` is a full-length (global factorization) bincount of
-    the shard's senders; ``seen_mask`` flags accounts appearing as sender
-    or destination; ``month_counts`` maps month bucket to payments.  All
-    three merge by plain integer addition / boolean OR.
-    """
-
-    sender_counts: np.ndarray
-    seen_mask: np.ndarray
-    month_counts: Dict[int, int]
-
-
-def population_shard_partial(dataset: TransactionDataset) -> PopulationPartial:
-    """Map step: count one shard's senders, participants, and months."""
-    n_accounts = len(dataset.accounts)
-    sender_counts = np.bincount(dataset.sender_ids, minlength=n_accounts)
-    seen_mask = np.zeros(n_accounts, dtype=bool)
-    seen_mask[dataset.sender_ids] = True
-    seen_mask[dataset.destination_ids] = True
-    months, counts = np.unique(
-        dataset.timestamps // SECONDS_PER_MONTH, return_counts=True
-    )
-    month_counts = {int(month): int(count) for month, count in zip(months, counts)}
-    return PopulationPartial(
-        sender_counts=sender_counts.astype(np.int64),
-        seen_mask=seen_mask,
-        month_counts=month_counts,
-    )
-
-
-def merge_population_partials(
-    partials: Sequence[PopulationPartial], min_payments: int = 1
-) -> Tuple[PopulationStats, List[Tuple[int, int]]]:
-    """Reduce shard partials to ``(PopulationStats, monthly volume)``.
-
-    The merged bincount and participation mask are exactly the full
-    dataset's, so the derived statistics (shares, mean, Gini) come out of
-    the same integer inputs as :func:`population_stats` — bit-for-bit.
-    """
-    if not partials:
-        raise AnalysisError("no shard partials to merge")
-    sender_counts = np.sum([p.sender_counts for p in partials], axis=0)
-    seen_mask = np.logical_or.reduce([p.seen_mask for p in partials])
-    month_counts: Dict[int, int] = {}
-    for partial in partials:
-        for month, count in partial.month_counts.items():
-            month_counts[month] = month_counts.get(month, 0) + count
-    seen = int(seen_mask.sum())
-    active_counts = sender_counts[sender_counts >= min_payments]
-    active = int(len(active_counts))
-    stats = PopulationStats(
-        accounts_seen=seen,
-        active_senders=active,
-        active_share=active / seen if seen else 0.0,
-        payments_per_active_sender=(
-            float(active_counts.mean()) if active else 0.0
-        ),
-        activity_concentration=_gini(active_counts),
-    )
-    monthly = [(month, month_counts[month]) for month in sorted(month_counts)]
-    return stats, monthly
 
 
 def monthly_volume(dataset: TransactionDataset) -> List[Tuple[int, int]]:

@@ -10,7 +10,7 @@ micro-amount regime; MTL's curve is a cliff at ~10^9 — the spam signature;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -76,66 +76,6 @@ def figure5_curves(
     for code in currencies:
         mask = dataset.rows_for_currency(code)
         curves[code] = survival_curve(dataset.amounts[mask], code, grid)
-    return curves
-
-
-# Sharded execution ---------------------------------------------------------
-
-
-def figure5_shard_partial(
-    dataset: TransactionDataset,
-    currencies: Sequence[str] = FIGURE5_CURRENCIES,
-    grid: Sequence[float] = DEFAULT_GRID,
-) -> Dict[str, Tuple[np.ndarray, int]]:
-    """Per-shard ECDF counts: label -> (#amounts <= x per grid point, n).
-
-    The survival value is ``1 - positions/n``; ``positions`` is a plain
-    count of shard amounts at or below each grid point, so partials from
-    any shard partition sum to exactly the integers the serial
-    :func:`survival_curve` derives from the full sorted array.
-    """
-    grid_array = np.asarray(grid, dtype=float)
-
-    def counts(amounts: np.ndarray) -> Tuple[np.ndarray, int]:
-        data = np.sort(np.asarray(amounts, dtype=float))
-        positions = np.searchsorted(data, grid_array, side="right")
-        return positions.astype(np.int64), int(data.size)
-
-    partial = {"Global": counts(dataset.amounts)}
-    for code in currencies:
-        mask = dataset.rows_for_currency(code)
-        partial[code] = counts(dataset.amounts[mask])
-    return partial
-
-
-def merge_figure5_partials(
-    partials: Sequence[Dict[str, Tuple[np.ndarray, int]]],
-    grid: Sequence[float] = DEFAULT_GRID,
-) -> Dict[str, SurvivalCurve]:
-    """Sum per-shard counts and derive the curves (order-independent).
-
-    Bit-for-bit equal to :func:`figure5_curves`: the summed integer counts
-    match the serial ``searchsorted`` positions exactly, and the final
-    ``1 - positions/n`` is the same single float division.
-    """
-    if not partials:
-        raise AnalysisError("no shard partials to merge")
-    labels = list(partials[0])
-    curves: Dict[str, SurvivalCurve] = {}
-    for label in labels:
-        positions = np.zeros(len(grid), dtype=np.int64)
-        samples = 0
-        for partial in partials:
-            shard_positions, shard_samples = partial[label]
-            positions += shard_positions
-            samples += shard_samples
-        if samples == 0:
-            values = [0.0] * len(grid)
-        else:
-            values = (1.0 - positions / samples).tolist()
-        curves[label] = SurvivalCurve(
-            label=label, grid=grid, values=values, samples=samples
-        )
     return curves
 
 

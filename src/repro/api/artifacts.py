@@ -13,7 +13,6 @@ packages.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.analysis import (
@@ -22,7 +21,6 @@ from repro.analysis import (
     figure5_curves,
     offer_concentration,
     path_structure,
-    table2,
     top_intermediaries,
 )
 from repro.analysis.archive import load_archive
@@ -30,10 +28,7 @@ from repro.analysis.health import (
     DEFAULT_PAIR_SAMPLE,
     DEFAULT_TARGET_AMOUNT,
     HealthReport,
-    IssuerConcentration,
-    LiquidityDistribution,
     SettlabilityProbe,
-    UtilizationProfile,
     issuer_concentration,
     liquidity_distribution,
     render_health,
@@ -41,27 +36,9 @@ from repro.analysis.health import (
     utilization_profile,
 )
 from repro.durability import IngestStats
-from repro.analysis.market_makers import (
-    merge_replay_results,
-    replay_outcomes,
-    tally_outcomes,
-)
-from repro.analysis.population import (
-    merge_population_partials,
-    monthly_volume,
-    population_shard_partial,
-    population_stats,
-)
-from repro.analysis.survival import (
-    figure5_shard_partial,
-    merge_figure5_partials,
-)
-from repro.api.registry import (
-    ArtifactError,
-    ArtifactResult,
-    ShardedCompute,
-    register,
-)
+from repro.analysis.market_makers import replay_outcomes, tally_outcomes
+from repro.analysis.population import monthly_volume, population_stats
+from repro.api.registry import ArtifactError, ArtifactResult, register
 from repro.api.request import ArtifactRequest
 from repro.api.render import (
     render_figure2,
@@ -73,15 +50,10 @@ from repro.api.render import (
     render_population,
     render_table2,
 )
-from repro.core.deanonymizer import (
-    Deanonymizer,
-    figure3_shard_partial,
-    merge_figure3_partials,
-)
+from repro.core.deanonymizer import Deanonymizer
 from repro.core.robustness import PeriodReport, run_period
 from repro.obs.manifest import RUN
 from repro.obs.trace import TRACER
-from repro.parallel.sharding import shard_ranges
 from repro.stream.periods import PERIODS, period
 from repro.synthetic.config import EconomyConfig
 from repro.synthetic.generator import generate_history
@@ -143,29 +115,6 @@ def history_for(args: ArtifactRequest):
     return history
 
 
-# Shared sharding helpers ----------------------------------------------------
-
-
-def _dataset_context(args: ArtifactRequest) -> TransactionDataset:
-    """Parent-side prepare for dataset-based sharded artifacts."""
-    return dataset_for(args)[1]
-
-
-def dataset_shards(dataset: TransactionDataset, n_shards: int) -> List:
-    """Contiguous row shards sharing the dataset's global factorization."""
-    return [
-        dataset.slice_rows(start, stop)
-        for start, stop in shard_ranges(len(dataset), n_shards)
-    ]
-
-
-def _sequence_shards(items, n_shards: int) -> List:
-    """Contiguous slices of a plain sequence (e.g. replay outcomes)."""
-    return [
-        items[start:stop] for start, stop in shard_ranges(len(items), n_shards)
-    ]
-
-
 # fig2 ----------------------------------------------------------------------
 
 
@@ -211,12 +160,6 @@ register(
     "information gain per feature list",
     _compute_fig3,
     lambda gains, args: render_figure3(gains),
-    sharded=ShardedCompute(
-        prepare=_dataset_context,
-        shards=dataset_shards,
-        compute_shard=figure3_shard_partial,
-        merge=lambda partials, dataset: merge_figure3_partials(partials),
-    ),
 )
 
 
@@ -251,12 +194,6 @@ register(
     "survival functions of payment amounts",
     _compute_fig5,
     lambda curves, args: render_figure5(curves, FIGURE5_POINTS),
-    sharded=ShardedCompute(
-        prepare=_dataset_context,
-        shards=dataset_shards,
-        compute_shard=figure5_shard_partial,
-        merge=lambda partials, dataset: merge_figure5_partials(partials),
-    ),
 )
 
 
@@ -309,7 +246,8 @@ register(
 
 
 def _compute_table2(args: ArtifactRequest) -> ArtifactResult:
-    return ArtifactResult(data=table2(history_for(args)))
+    outcomes = replay_outcomes(history_for(args))
+    return ArtifactResult(data=tally_outcomes(outcomes))
 
 
 register(
@@ -317,15 +255,6 @@ register(
     "delivery without market makers",
     _compute_table2,
     lambda result, args: render_table2(result),
-    # The replay itself is stateful and runs serially in prepare; only the
-    # outcome tally shards.  The contract still buys determinism coverage:
-    # any partition of the outcome stream merges to the same fractions.
-    sharded=ShardedCompute(
-        prepare=lambda args: replay_outcomes(history_for(args)),
-        shards=_sequence_shards,
-        compute_shard=tally_outcomes,
-        merge=lambda partials, outcomes: merge_replay_results(partials),
-    ),
 )
 
 
@@ -333,7 +262,7 @@ register(
 
 
 def _compute_population(args: ArtifactRequest) -> ArtifactResult:
-    dataset = _dataset_context(args)
+    dataset = dataset_for(args)[1]
     return ArtifactResult(
         data=(population_stats(dataset), monthly_volume(dataset)),
         metrics={"rows": len(dataset)},
@@ -345,81 +274,46 @@ register(
     "appendix D population statistics (accounts, activity, growth)",
     _compute_population,
     lambda payload, args: render_population(*payload),
-    sharded=ShardedCompute(
-        prepare=_dataset_context,
-        shards=dataset_shards,
-        compute_shard=population_shard_partial,
-        merge=lambda partials, dataset: merge_population_partials(partials),
-    ),
 )
 
 
 # health ---------------------------------------------------------------------
 
 
-@dataclass
-class HealthContext:
-    """Tally-independent health dimensions plus the probe outcome stream."""
-
-    liquidity: LiquidityDistribution
-    issuers: IssuerConcentration
-    utilization: UtilizationProfile
-    amount: float
-    outcomes: List[bool]
+def tally_settlability(outcomes: Sequence[bool]) -> Tuple[int, int]:
+    """(pairs, settlable) over a list of probe outcomes (pure)."""
+    return len(outcomes), sum(1 for settlable in outcomes if settlable)
 
 
-def _health_context(args: ArtifactRequest) -> HealthContext:
+def _compute_health(args: ArtifactRequest) -> ArtifactResult:
     history = history_for(args)
     wallets = [user.account for user in history.cast.users]
     pairs = int(args.option("pairs") or DEFAULT_PAIR_SAMPLE)
     amount = float(args.option("amount") or DEFAULT_TARGET_AMOUNT)
     state = history.state
-    return HealthContext(
-        liquidity=liquidity_distribution(state, wallets),
-        issuers=issuer_concentration(state),
-        utilization=utilization_profile(state),
-        amount=amount,
-        outcomes=settlability_outcomes(
-            state, wallets, pairs=pairs, amount=amount, seed=args.seed
-        ),
+    liquidity = liquidity_distribution(state, wallets)
+    issuers = issuer_concentration(state)
+    utilization = utilization_profile(state)
+    outcomes = settlability_outcomes(
+        state, wallets, pairs=pairs, amount=amount, seed=args.seed
     )
-
-
-def tally_settlability(outcomes: Sequence[bool]) -> Tuple[int, int]:
-    """(pairs, settlable) over a slice of probe outcomes (pure, shardable)."""
-    return len(outcomes), sum(1 for settlable in outcomes if settlable)
-
-
-def _finish_health(
-    context: HealthContext, pairs: int, settlable: int
-) -> ArtifactResult:
+    probed, settlable = tally_settlability(outcomes)
     report = HealthReport(
-        liquidity=context.liquidity,
-        issuers=context.issuers,
-        utilization=context.utilization,
+        liquidity=liquidity,
+        issuers=issuers,
+        utilization=utilization,
         settlability=SettlabilityProbe(
-            pairs=pairs, settlable=settlable, amount=context.amount
+            pairs=probed, settlable=settlable, amount=amount
         ),
     )
     return ArtifactResult(
         data=report,
         metrics={
-            "settlability_pairs": pairs,
+            "settlability_pairs": probed,
             "settlable_fraction": report.settlability.fraction,
         },
         manifest={"health": report.as_dict()},
     )
-
-
-def _compute_health(args: ArtifactRequest) -> ArtifactResult:
-    context = _health_context(args)
-    return _finish_health(context, *tally_settlability(context.outcomes))
-
-
-def _merge_health(partials, context: HealthContext) -> ArtifactResult:
-    pairs = sum(partial[0] for partial in partials)
-    settlable = sum(partial[1] for partial in partials)
-    return _finish_health(context, pairs, settlable)
 
 
 register(
@@ -428,12 +322,4 @@ register(
     "settlability",
     _compute_health,
     lambda report, args: render_health(report),
-    # The ledger walk runs serially in prepare; the settlability tally
-    # shards (any contiguous partition merges identically to serial).
-    sharded=ShardedCompute(
-        prepare=_health_context,
-        shards=lambda context, n: _sequence_shards(context.outcomes, n),
-        compute_shard=tally_settlability,
-        merge=_merge_health,
-    ),
 )

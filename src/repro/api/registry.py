@@ -181,7 +181,7 @@ class ShardedCompute:
 
     An artifact that registers one can run across a worker pool
     (:mod:`repro.parallel`): ``prepare`` builds the shared input in the
-    parent (e.g. the columnar dataset), ``shards`` splits it into at most
+    parent (e.g. the sweep's point list), ``shards`` splits it into at most
     ``n`` contiguous, picklable shard payloads, ``compute_shard`` — a
     *module-level* function, so it pickles by reference into workers —
     maps one shard to a partial, and ``merge`` reduces the partials.
@@ -189,7 +189,9 @@ class ShardedCompute:
     The contract every implementation must honour: ``merge`` is
     **order-independent** over shard partials and its result is
     **bit-for-bit identical** to the serial ``compute`` for any contiguous
-    partition of the input — the golden-equivalence suite enforces this.
+    partition of the input — a partition property test enforces this.
+    Register one only where a shard's work outweighs shipping it to a
+    worker; today that is ``fork_threshold`` alone.
     """
 
     prepare: Callable[[ArtifactRequest], Any]
@@ -216,9 +218,9 @@ class Artifact:
         ``argparse.Namespace`` (or any attribute bag) is lifted through
         :meth:`ArtifactRequest.of` at this boundary.  Serial
         (``compute``) unless the artifact has a sharded contract *and*
-        the request asks for more than one worker.  Sharded merges return
-        bare payloads; :meth:`ArtifactResult.wrap` lifts either form, so
-        callers always get an :class:`ArtifactResult`.
+        the request asks for more than one worker.  A sharded merge may
+        return a bare payload; :meth:`ArtifactResult.wrap` lifts either
+        form, so callers always get an :class:`ArtifactResult`.
         """
         from repro.parallel.engine import run_compute
 

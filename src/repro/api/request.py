@@ -8,7 +8,7 @@ compared, hashed, and deduplicated; a namespace can be none of those.
 
 :class:`ArtifactRequest` is the replacement: a frozen dataclass carrying
 exactly the fields that parameterize a computation (name, seed, scale,
-payments, archive, jobs, resume, trace, ingest mode) plus a sorted
+payments, archive, jobs, trace, ingest mode) plus a sorted
 tuple of artifact-specific ``options`` (``period``, ``top``, ``plan``,
 ``rounds``).  The CLI builds one from parsed flags
 (:meth:`ArtifactRequest.from_namespace`), the server builds one from a
@@ -19,8 +19,8 @@ never crosses the API boundary.
 Canonicalization is the load-bearing part.  Two requests that differ
 only in flag order or in explicit-vs-default values must be *the same
 request*: :meth:`canonical_invocation` normalizes away execution
-strategy (``jobs``, ``resume``, ``trace`` — guaranteed not to change
-the output bytes), drops options at their default values, and sorts
+strategy (``jobs``, ``trace`` — guaranteed not to change the output
+bytes), drops options at their default values, and sorts
 everything — so the manifest fingerprint built over it
 (:func:`repro.obs.manifest.request_fingerprint`) is byte-identical for
 equivalent requests.  The serve cache and single-flight table key on
@@ -68,10 +68,10 @@ class ArtifactRequest:
 
     Semantic fields (``seed``, ``scale``, ``payments``, ``archive``,
     ``quarantine``, options) determine the output bytes; execution
-    fields (``jobs``, ``resume``, ``trace``, ``strict_ingest``) only
-    determine *how* the run executes and are excluded from
-    :meth:`canonical_invocation` — sharded, resumed, and traced runs
-    are bit-for-bit identical to serial ones by contract.
+    fields (``jobs``, ``trace``, ``strict_ingest``) only determine *how*
+    the run executes and are excluded from :meth:`canonical_invocation`
+    — sharded and traced runs are bit-for-bit identical to serial ones
+    by contract.
     """
 
     name: str
@@ -80,7 +80,6 @@ class ArtifactRequest:
     payments: int = DEFAULT_PAYMENTS
     archive: Optional[str] = None
     jobs: Optional[int] = None
-    resume: bool = False
     quarantine: bool = False
     strict_ingest: bool = False
     trace: bool = False
@@ -106,6 +105,10 @@ class ArtifactRequest:
             value = getattr(self, int_field)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise RequestError(f"{int_field} must be an integer")
+        if self.scale < 1:
+            # The period runs 1/scale of its length: 0 would divide by
+            # zero and a negative scale would render a negative period.
+            raise RequestError(f"scale must be >= 1, got {self.scale}")
         if self.jobs is not None and (
             not isinstance(self.jobs, int) or isinstance(self.jobs, bool)
         ):
@@ -163,7 +166,6 @@ class ArtifactRequest:
             payments=getattr(args, "payments", DEFAULT_PAYMENTS),
             archive=getattr(args, "archive", None),
             jobs=getattr(args, "jobs", None),
-            resume=bool(getattr(args, "resume", False)),
             quarantine=bool(getattr(args, "quarantine", False)),
             strict_ingest=bool(getattr(args, "strict_ingest", False)),
             trace=bool(getattr(args, "trace", None)),
@@ -213,7 +215,6 @@ class ArtifactRequest:
             "payments": self.payments,
             "archive": self.archive,
             "jobs": self.jobs,
-            "resume": self.resume,
             "quarantine": self.quarantine,
             "strict_ingest": self.strict_ingest,
             "trace": self.trace,
@@ -240,7 +241,7 @@ class ArtifactRequest:
     def canonical_invocation(self) -> Dict[str, Any]:
         """The semantic parameters of this request, defaults normalized.
 
-        Excludes execution strategy (``jobs``, ``resume``, ``trace``)
+        Excludes execution strategy (``jobs``, ``trace``)
         and redundant spellings (``strict_ingest`` is the default
         behaviour; the archive *path* is excluded because the input
         content hash, not its location, identifies the input — see

@@ -59,23 +59,12 @@ def gate_payload(
     """Regression failures for one bench payload (empty list = pass).
 
     Node throughput metrics must stay within ``tolerance`` of the file's
-    baseline.  The pipeline's parallel-speedup ratio is gated **only when
-    the host that produced the current numbers has more than one core**:
-    on a 1-core container the worker pool is pure overhead and ~0.1x is
-    the honest measurement, not a regression — gating it there would turn
-    every CI run on a small runner into a false alarm, and *trusting* it
-    there would let those misleading numbers become baseline truth.
+    baseline.  Pipeline payloads carry wall-clock timings only and are
+    not gated.
     """
     baseline = payload.get("baseline") or {}
     current = payload.get("current") or {}
-    cpu_count = payload.get("cpu_count") or 1
-    kind = payload.get("kind")
-    if kind == "node":
-        keys = GATED_NODE_METRICS
-    elif kind == "pipeline":
-        keys = ("figure3_parallel_x",) if cpu_count > 1 else ()
-    else:
-        keys = ()
+    keys = GATED_NODE_METRICS if payload.get("kind") == "node" else ()
     failures = []
     for key in keys:
         then = baseline.get(key)
@@ -148,9 +137,8 @@ def write_result(
         "schema": SCHEMA,
         "kind": kind,
         "config": config,
-        # The host that produced ``current``: regression gates use this to
-        # skip parallel-speedup checks on single-core machines, where a
-        # worker pool is pure overhead and 0.1x is the honest number.
+        # The host that produced ``current``, so its timings can be read
+        # against the core count they were measured on.
         "cpu_count": os.cpu_count() or 1,
         "baseline": baseline,
         "current": current,
@@ -230,25 +218,10 @@ def bench_node(
 
 def bench_pipeline(
     config: Optional[Dict[str, int]] = None,
-    jobs: int = 4,
 ) -> Dict[str, float]:
-    """Generation → ETL → Fig. 3 wall-clock on a reduced economy.
-
-    Fig. 3 is measured twice — serial and sharded across ``jobs`` worker
-    processes via the same map/reduce contract the CLI's ``--jobs`` flag
-    uses — and the results are asserted identical before timings are
-    reported.  ``figure3_parallel_x`` is the recorded serial/parallel
-    speedup (>1 means sharding won; expect ~1 or below on a single-core
-    host, where the worker pool is pure overhead).
-    """
+    """Generation → ETL → Fig. 3 wall-clock on a reduced economy."""
     from repro.analysis.dataset import TransactionDataset
-    from repro.api.artifacts import dataset_shards
-    from repro.core.deanonymizer import (
-        Deanonymizer,
-        figure3_shard_partial,
-        merge_figure3_partials,
-    )
-    from repro.parallel.engine import effective_jobs, map_shards
+    from repro.core.deanonymizer import Deanonymizer
     from repro.synthetic.config import EconomyConfig
     from repro.synthetic.generator import LedgerHistoryGenerator
 
@@ -266,34 +239,10 @@ def bench_pipeline(
     gains = Deanonymizer(dataset).figure3()
     fig3_s = time.perf_counter() - start
 
-    jobs = effective_jobs(jobs=jobs)
-
-    def parallel_fig3() -> tuple:
-        """One production-path sharded run: slice -> map -> merge."""
-        start = time.perf_counter()
-        shards = dataset_shards(dataset, jobs)
-        partials = map_shards("fig3", figure3_shard_partial, shards, jobs)
-        merged = merge_figure3_partials(partials)
-        return merged, time.perf_counter() - start
-
-    # Cold first: pays the pool spawn.  Warm second: what every artifact
-    # after the first sees in a run — the number the speedup gate
-    # reasons about.
-    merged, fig3_cold_s = parallel_fig3()
-    merged_warm, fig3_parallel_s = parallel_fig3()
-    if merged_warm != merged:  # pragma: no cover - determinism guard
-        raise RuntimeError("warm sharded fig3 diverged from cold run")
-    if merged != gains:  # pragma: no cover - determinism regression guard
-        raise RuntimeError("sharded fig3 diverged from the serial result")
-
     return {
         "generation_s": round(generation_s, 4),
         "etl_s": round(etl_s, 5),
         "figure3_s": round(fig3_s, 5),
-        "figure3_parallel_cold_s": round(fig3_cold_s, 5),
-        "figure3_parallel_s": round(fig3_parallel_s, 5),
-        "figure3_parallel_x": round(fig3_s / fig3_parallel_s, 4),
-        "parallel_jobs": jobs,
         "rows": len(dataset),
         "failed_payments": history.failed_payments,
         "fig3_first_identified": gains[0].identified,
@@ -304,7 +253,7 @@ def run_node(out_path: Path) -> Dict[str, object]:
     return write_result(out_path, "node", dict(NODE_CONFIG), bench_node())
 
 
-def run_pipeline(out_path: Path, jobs: int = 4) -> Dict[str, object]:
+def run_pipeline(out_path: Path) -> Dict[str, object]:
     return write_result(
-        out_path, "pipeline", dict(PIPELINE_CONFIG), bench_pipeline(jobs=jobs)
+        out_path, "pipeline", dict(PIPELINE_CONFIG), bench_pipeline()
     )

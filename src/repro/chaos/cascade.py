@@ -23,10 +23,9 @@ measuring the four-dimension health report
   ledger directly.
 
 Importing this module registers the ``cascade`` artifact.  Like
-``table2``, the simulation is inherently sequential and runs in
-``prepare``; only the outcome tally (payment deliveries + settlability
-probes, one flat stream tagged by wave) shards — any contiguous
-partition merges bit-for-bit identically to the serial compute.
+``table2``, the simulation is inherently sequential: it records one flat
+outcome stream (payment deliveries + settlability probes, tagged by
+wave), which :func:`tally_cascade` then counts per wave.
 """
 
 from __future__ import annotations
@@ -51,13 +50,8 @@ from repro.analysis.health import (
     utilization_profile,
 )
 from repro.analysis.market_makers import ReplayResult, replay_with_state
-from repro.api.artifacts import _sequence_shards, history_for
-from repro.api.registry import (
-    ArtifactError,
-    ArtifactResult,
-    ShardedCompute,
-    register,
-)
+from repro.api.artifacts import history_for
+from repro.api.registry import ArtifactError, ArtifactResult, register
 from repro.api.request import ArtifactRequest
 from repro.ledger.accounts import AccountID
 from repro.ledger.amounts import Amount
@@ -127,7 +121,7 @@ class _WaveDraft:
 
 @dataclass
 class CascadeContext:
-    """Everything the merge needs: wave skeletons + the tagged stream."""
+    """Everything the tally needs: wave skeletons + the tagged stream."""
 
     kind: str
     pairs: int
@@ -336,7 +330,7 @@ def run_cascade(
 ) -> CascadeReport:
     """Run one cascade end to end (library entry point)."""
     context = simulate_cascade(history, kind, waves, pairs, amount, seed)
-    return _finish_cascade(context, tally_cascade_shard(context.stream)).data
+    return _finish_cascade(context, tally_cascade(context.stream)).data
 
 
 def simulate_cascade(
@@ -347,7 +341,7 @@ def simulate_cascade(
     amount: float,
     seed: int,
 ) -> CascadeContext:
-    """The sequential part: wave simulation + the shardable stream."""
+    """The sequential part: wave simulation + the tagged outcome stream."""
     if kind not in CASCADE_KINDS:
         raise ArtifactError(
             f"unknown cascade kind {kind!r}; known: {', '.join(CASCADE_KINDS)}"
@@ -372,13 +366,13 @@ def simulate_cascade(
     return context
 
 
-# Sharded tally ---------------------------------------------------------------
+# Tally -----------------------------------------------------------------------
 
 
-def tally_cascade_shard(
+def tally_cascade(
     entries: Sequence[Tuple[int, str, bool, bool]],
 ) -> Dict[int, List[int]]:
-    """Tally a slice of the outcome stream per wave (pure, shardable).
+    """Tally the outcome stream per wave.
 
     Counts are ``[cross_submitted, cross_delivered, single_submitted,
     single_delivered, probe_pairs, probe_settlable]``.
@@ -398,28 +392,10 @@ def tally_cascade_shard(
     return totals
 
 
-def merge_cascade_tallies(
-    partials: Sequence[Dict[int, List[int]]],
-) -> Dict[int, List[int]]:
-    """Sum per-shard wave tallies (integer addition — order-independent)."""
-    totals: Dict[int, List[int]] = {}
-    for partial in partials:
-        for wave, counts in partial.items():
-            slot = totals.setdefault(wave, [0, 0, 0, 0, 0, 0])
-            for position, value in enumerate(counts):
-                slot[position] += value
-    return totals
-
-
 def _finish_cascade(
     context: CascadeContext, totals: Dict[int, List[int]]
 ) -> ArtifactResult:
-    """Install the tallies into the wave skeletons; build the result.
-
-    Both the serial compute and the sharded merge end here, so their
-    payloads — and their manifest/metrics annotations — are identical by
-    construction.
-    """
+    """Install the tallies into the wave skeletons; build the result."""
     waves: List[CascadeWave] = []
     for draft in context.drafts:
         counts = totals.get(draft.index, [0, 0, 0, 0, 0, 0])
@@ -494,16 +470,12 @@ def _cascade_params(args: ArtifactRequest) -> Tuple[str, int, int, float]:
     return kind, int(waves), int(pairs), amount
 
 
-def _prepare_cascade(args: ArtifactRequest) -> CascadeContext:
+def _compute_cascade(args: ArtifactRequest) -> ArtifactResult:
     kind, waves, pairs, amount = _cascade_params(args)
-    return simulate_cascade(
+    context = simulate_cascade(
         history_for(args), kind, waves, pairs, amount, seed=args.seed
     )
-
-
-def _compute_cascade(args: ArtifactRequest) -> ArtifactResult:
-    context = _prepare_cascade(args)
-    return _finish_cascade(context, tally_cascade_shard(context.stream))
+    return _finish_cascade(context, tally_cascade(context.stream))
 
 
 def render_cascade(report: CascadeReport, args: ArtifactRequest = None) -> str:
@@ -552,16 +524,6 @@ register(
     "liquidity-cascade collapse curve (outage / gateway-default / unwind)",
     _compute_cascade,
     lambda payload, args: render_cascade(payload, args),
-    # The wave simulation is stateful and runs serially in prepare (like
-    # the table2 replay); only the per-wave outcome tally shards.
-    sharded=ShardedCompute(
-        prepare=_prepare_cascade,
-        shards=lambda context, n: _sequence_shards(context.stream, n),
-        compute_shard=tally_cascade_shard,
-        merge=lambda partials, context: _finish_cascade(
-            context, merge_cascade_tallies(partials)
-        ),
-    ),
 )
 
 __all__ = [

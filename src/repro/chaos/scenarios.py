@@ -30,8 +30,9 @@ and demonstrates the claimed outcome end to end:
     Protocol*) asked quantitatively: two camps of eight validators share
     ``s`` hub validators; sweeping ``s`` records the empirical overlap at
     which forks stop.  Registered as the ``fork_threshold`` artifact with
-    a sharded map/reduce contract, so ``--jobs N`` computes points in
-    parallel bit-for-bit identically to the serial path.
+    the repo's one sharded map/reduce contract: each point is a full
+    consensus simulation, so ``--jobs N`` computes points in parallel,
+    bit-for-bit identically to the serial path.
 
 Every run is reproducible from ``(scenario, seed, rounds)``; drill
 reports carry the plan fingerprint so manifests pin the exact schedule.
@@ -57,6 +58,7 @@ from repro.consensus.network import NetworkModel
 from repro.consensus.unl import UNL
 from repro.consensus.validator import Validator
 from repro.obs.metrics import METRICS
+from repro.parallel.sharding import shard_ranges
 
 # Amores-Cachin roster geometry ------------------------------------------------
 #
@@ -369,16 +371,10 @@ def _sweep_context(request) -> Dict[str, object]:
 
 def _sweep_shards(context: Dict[str, object], jobs: int) -> List[Dict]:
     points = context["points"]
-    chunks = min(max(1, jobs), len(points))
-    per, extra = divmod(len(points), chunks)
-    shards, start = [], 0
-    for chunk in range(chunks):
-        width = per + (1 if chunk < extra else 0)
-        shards.append(
-            {"points": points[start:start + width], "seed": context["seed"]}
-        )
-        start += width
-    return shards
+    return [
+        {"points": points[start:stop], "seed": context["seed"]}
+        for start, stop in shard_ranges(len(points), jobs)
+    ]
 
 
 def sweep_shard_rows(shard: Dict[str, object]) -> List[Dict[str, object]]:

@@ -239,24 +239,12 @@ def cmd_bench_node(args: argparse.Namespace) -> int:
 def cmd_bench_smoke(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.bench import gate_payload, run_pipeline
+    from repro.bench import run_pipeline
 
     out = args.out or "BENCH_pipeline.json"
-    # Serial-vs-parallel fig3 is part of the smoke run: 4 workers unless
-    # the user asks otherwise (--jobs 1 measures the serial path twice).
-    payload = run_pipeline(Path(out), jobs=getattr(args, "jobs", None) or 4)
+    payload = run_pipeline(Path(out))
     print(json.dumps(payload["speedup"], indent=2, sort_keys=True))
     print(f"wrote {out}")
-    failures = gate_payload(payload)
-    if failures:
-        for failure in failures:
-            print(f"bench gate FAILED: {failure}", file=sys.stderr)
-        return 1
-    if (payload.get("cpu_count") or 1) <= 1:
-        print(
-            "bench gate: figure3_parallel_x not gated on a 1-core host "
-            "(worker pool is pure overhead here; ratio is not meaningful)"
-        )
     return 0
 
 
@@ -419,15 +407,10 @@ def _common_parent() -> argparse.ArgumentParser:
     parent.add_argument("--archive", type=str, default=None,
                         help="read payments from a dumped archive instead")
     parent.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for sharded artifacts "
-                             "(default 1 = serial; output is bit-identical "
-                             "either way)")
-    parent.add_argument("--resume", action="store_true", default=False,
-                        help="checkpoint each completed shard under "
-                             "$REPRO_RESUME_DIR (default .repro-resume) and "
-                             "reload verified checkpoints on rerun — a "
-                             "killed --jobs N run recomputes only missing "
-                             "shards, bit-for-bit identical to a cold run")
+                        help="worker processes for sharded artifacts; only "
+                             "fork_threshold shards, every other artifact "
+                             "runs serially (default 1 = serial; output is "
+                             "bit-identical either way)")
     parent.add_argument("--strict-ingest", action="store_true", default=False,
                         help="fail on the first malformed archive line "
                              "(the default; spelled out for scripts)")

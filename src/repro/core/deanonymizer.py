@@ -11,7 +11,7 @@ candidate senders).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -53,73 +53,6 @@ class InformationGain:
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         return f"{self.feature_list.label():28s} IG = {self.percent:6.2f}%"
-
-
-@dataclass(frozen=True)
-class Figure3Partial:
-    """One shard's contribution to Fig. 3: fingerprint histograms.
-
-    ``per_list[i]`` holds ``(rows, counts)`` for feature list ``i``:
-    ``rows`` are the shard's distinct fingerprints (one int64 row each)
-    and ``counts`` their multiplicities.  Identifiers inside the rows are
-    the parent dataset's global factorization (contiguous shards share the
-    factorization dictionaries), so partials from any shard partition
-    merge by exact row equality.
-    """
-
-    n: int
-    per_list: Tuple[Tuple[np.ndarray, np.ndarray], ...]
-
-
-def figure3_shard_partial(
-    dataset: TransactionDataset,
-    feature_lists: Sequence[FeatureList] = FIGURE3_FEATURE_LISTS,
-) -> Figure3Partial:
-    """Map step of the sharded Fig. 3 (runs inside a worker process)."""
-    with METRICS.timer("deanon.figure3_shard"):
-        cache = FeatureColumnCache(dataset)
-        per_list = []
-        for feature_list in feature_lists:
-            matrix = build_fingerprints(dataset, feature_list, cache=cache)
-            rows, counts = np.unique(
-                matrix.columns, axis=0, return_counts=True
-            )
-            per_list.append((rows, counts.astype(np.int64)))
-        return Figure3Partial(n=len(dataset), per_list=tuple(per_list))
-
-
-def merge_figure3_partials(
-    partials: Sequence[Figure3Partial],
-    feature_lists: Sequence[FeatureList] = FIGURE3_FEATURE_LISTS,
-) -> List[InformationGain]:
-    """Order-independent reduce of shard partials to the Fig. 3 rows.
-
-    A payment is identified iff its fingerprint's summed multiplicity
-    across all shards is exactly one — the same integer count the serial
-    :func:`unique_fingerprint_mask` produces, so the merged result is
-    bit-for-bit identical to the unsharded run.
-    """
-    if not partials:
-        raise AnalysisError("no shard partials to merge")
-    total = sum(partial.n for partial in partials)
-    gains: List[InformationGain] = []
-    for index, feature_list in enumerate(feature_lists):
-        rows = np.concatenate([p.per_list[index][0] for p in partials])
-        counts = np.concatenate([p.per_list[index][1] for p in partials])
-        _, inverse = np.unique(rows, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        summed = np.zeros(
-            int(inverse.max()) + 1 if len(inverse) else 0, dtype=np.int64
-        )
-        np.add.at(summed, inverse, counts)
-        gains.append(
-            InformationGain(
-                feature_list=feature_list,
-                identified=int((summed == 1).sum()),
-                total=total,
-            )
-        )
-    return gains
 
 
 class Deanonymizer:

@@ -100,7 +100,7 @@ class FeatureColumnCache:
                 # buckets in absolute value terms: bucket * 10^exponent,
                 # quantized at the finest granularity of any currency in the
                 # dataset's factorization (not merely the rows at hand, so
-                # that a contiguous row shard rescales exactly like the full
+                # that a row subset rescales exactly like the full
                 # dataset — uniform rescaling preserves the grouping either
                 # way).  ``half_up`` snaps the integral-valued products back
                 # to exact integers with the same tie rule the bucketing

@@ -3,8 +3,7 @@
 The paper's pipeline starts from a 500 GB ad-hoc ledger download and three
 2-week validation-stream captures; at that scale truncated files, corrupt
 lines, and killed runs are the common case.  This package is the data
-plane's answer, threaded through ingest, artifact output, and the parallel
-engine:
+plane's answer, threaded through ingest and artifact output:
 
 * :func:`atomic_write` — all-or-nothing file replacement (temp file in the
   same directory, flush + fsync + ``os.replace``), optionally sealed with a
@@ -14,10 +13,11 @@ engine:
   tag, verified on read with a typed :class:`~repro.errors.IntegrityError`;
 * :class:`IngestStats` / :class:`QuarantineWriter` — the lenient-ingest
   bookkeeping contract (read/quarantined counts and per-reason tallies,
-  mirrored into :data:`repro.obs.metrics.METRICS`);
-* :class:`ResumeJournal` — per-shard checkpoints for ``--resume``:
-  completed shard partials survive a killed ``--jobs N`` run and are
-  reloaded (hash-verified) instead of recomputed.
+  mirrored into :data:`repro.obs.metrics.METRICS`).
+
+A killed artifact run needs no checkpoint to recover: :func:`atomic_write`
+never leaves a torn output, and rerunning the same request reproduces
+the same bytes.
 """
 
 from repro.durability.atomic import (
@@ -29,7 +29,6 @@ from repro.durability.atomic import (
     write_manifest,
 )
 from repro.durability.ingest import IngestStats, QuarantineWriter
-from repro.durability.journal import ResumeJournal, resume_root
 from repro.errors import IntegrityError
 
 __all__ = [
@@ -37,11 +36,9 @@ __all__ = [
     "IngestStats",
     "IntegrityError",
     "QuarantineWriter",
-    "ResumeJournal",
     "atomic_write",
     "manifest_path",
     "read_manifest",
-    "resume_root",
     "verify_manifest",
     "write_manifest",
 ]

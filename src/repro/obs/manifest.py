@@ -4,14 +4,13 @@ Every artifact run that produces a file (``--out``) or a trace
 (``--trace``) emits ``<out>.manifest.json`` — written atomically with a
 ``.sha256`` sidecar via :mod:`repro.durability` — recording:
 
-* the **invocation**: seed, scale, payments, archive, jobs, resume;
+* the **invocation**: seed, scale, payments, archive, jobs, quarantine;
 * the **shard plan fingerprint** when the run sharded
-  (:func:`repro.durability.journal.plan_fingerprint`);
+  (:func:`repro.parallel.sharding.plan_fingerprint`);
 * the deterministic **phase-span rollup** and (informationally) wall
   seconds per phase;
 * **ingest/quarantine stats** and **degradation events** (shard
-  resubmits, serial fallbacks, watchdog timeouts, degraded/failed
-  closes, resumed shards);
+  resubmits, serial fallbacks, degraded/failed closes);
 * the **metrics snapshot** when metrics were enabled;
 * sha256 + byte size of every **output artifact**, plus the hash of the
   rendered text itself.
@@ -38,7 +37,7 @@ import os
 from typing import Any, Dict, List, Optional
 
 #: Manifest schema version; bump when the payload layout changes.
-RUN_MANIFEST_VERSION = 1
+RUN_MANIFEST_VERSION = 2
 
 #: Request-fingerprint schema version; bump when the fingerprint
 #: document layout changes (old cache entries then miss, never collide).
@@ -152,7 +151,7 @@ def request_fingerprint(
     parameters only — execution strategy excluded, defaults
     normalized), and the content hashes of every input archive.  Two
     requests that would render identical bytes by the repo's
-    serial/parallel/resume equivalence contract produce the identical
+    serial/parallel equivalence contract produce the identical
     fingerprint; the serve cache and single-flight table key on it.
     """
     if inputs is None:
@@ -184,7 +183,7 @@ def build_manifest(
     ``result`` is the run's :class:`~repro.api.registry.ArtifactResult`;
     its ``metrics``/``manifest`` dicts land in ``artifact_metrics`` /
     ``artifact_extra``.  Both stay out of :func:`deterministic_view`:
-    a sharded merge returns a bare payload (empty metrics) where the
+    a sharded merge may return a bare payload (empty metrics) where the
     serial compute fills them, so they are strategy-dependent.
     ``fingerprint`` is the pre-run :func:`request_fingerprint` — the
     same value the serve cache keys on, so a manifest names the cache
@@ -213,7 +212,6 @@ def build_manifest(
             "payments": getattr(args, "payments", None),
             "archive": getattr(args, "archive", None),
             "jobs": getattr(args, "jobs", None),
-            "resume": bool(getattr(args, "resume", False)),
             "quarantine": bool(getattr(args, "quarantine", False)),
         },
         "plan": plan,
@@ -248,15 +246,15 @@ def deterministic_view(payload: Dict[str, Any]) -> Dict[str, Any]:
     """The strategy-independent core of a manifest.
 
     Two runs of the same artifact with the same seed/scale/input must
-    agree on this view no matter how they executed — serial, ``--jobs 4``,
-    resumed — and no matter when.  Strips timing, metrics, the shard
+    agree on this view no matter how they executed — serial or
+    ``--jobs 4`` — and no matter when.  Strips timing, metrics, the shard
     plan, worker counts, volatile outputs, and path locations (only
     content hashes remain).
     """
     invocation = {
         key: value
         for key, value in payload.get("invocation", {}).items()
-        if key not in ("jobs", "resume")
+        if key != "jobs"
     }
     return {
         "artifact": payload.get("artifact"),

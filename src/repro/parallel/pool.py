@@ -1,20 +1,18 @@
 """A persistent warm worker pool, reused across artifact invocations.
 
 Spawning a ``ProcessPoolExecutor`` costs fork/exec, interpreter start
-(under spawn), and importing the repro package in every worker — for the
-small shard counts our artifacts use, pool startup dominated the parallel
-path (`figure3_parallel_x` ~0.1x).  This module keeps **one** pool alive
-per process and hands it to every :func:`repro.parallel.engine.map_shards`
-call:
+(under spawn), and importing the repro package in every worker.  This
+module keeps **one** pool alive per process and hands it to every
+:func:`repro.parallel.engine.map_shards` call, so a long-lived process
+(the serve daemon, a benchmark loop) pays pool startup once:
 
 * :func:`acquire` returns the warm pool when the requested ``(start
   method, jobs)`` matches, else tears the old one down and spawns fresh;
 * :func:`release` returns the pool to the warm cache — workers stay up,
   the next artifact pays zero startup;
-* :func:`discard` destroys a pool the caller saw break (crashed or hung
-  worker).  Teardown is atomic with respect to the cache — the cache is
-  emptied *before* any process is signalled, so no later ``acquire`` can
-  see a dying pool.
+* :func:`discard` destroys a pool the caller saw break (a crashed
+  worker).  A pool out on loan is not in the cache, so no later
+  ``acquire`` can see it dying.
 
 An ``atexit`` hook shuts the warm pool down on interpreter exit; a
 ``kill -9`` of the whole process is covered by the OS reaping the worker
@@ -86,17 +84,7 @@ def release(executor: ProcessPoolExecutor, jobs: int, mp_context) -> None:
 
 
 def discard(executor: ProcessPoolExecutor) -> None:
-    """Destroy a broken or hung pool.
-
-    Hung workers never join, so the processes are terminated first
-    (best effort over CPython's ``_processes`` bookkeeping), then reaped.
-    """
-    processes = getattr(executor, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except OSError:  # pragma: no cover - already dead
-            pass
+    """Destroy a pool instead of returning it to the cache."""
     executor.shutdown(wait=True, cancel_futures=True)
     METRICS.count("parallel.pool.discarded")
 

@@ -13,15 +13,14 @@ Unix or TCP socket and serves each one through a fixed pipeline:
 4. **single-flight** on a miss — concurrent identical requests collapse
    onto one computation (:mod:`repro.serve.singleflight`);
 5. **compute** through the same :data:`repro.api.ARTIFACTS` registry the
-   CLI uses — a request with ``jobs > 1`` schedules shards onto the
-   persistent warm worker pool (:mod:`repro.parallel.pool`), which stays
-   warm *across requests*;
+   CLI uses — a ``jobs > 1`` request for a sharded artifact
+   (``fork_threshold``) schedules shards onto the persistent warm worker
+   pool (:mod:`repro.parallel.pool`), which stays warm *across requests*;
 6. **seal** the envelope core into the store and respond.
 
 Request handling runs on a thread per connection
-(``socketserver.ThreadingMixIn``); computations themselves fan out to
-worker processes, so the GIL bounds only the serving overhead, not the
-compute.  Every stage ticks a ``serve.*`` metrics counter and logs a
+(``socketserver.ThreadingMixIn``); a sharded computation fans out to
+worker processes, every other one runs on its request thread.  Every stage ticks a ``serve.*`` metrics counter and logs a
 progress line, so ``{"op": "stats"}`` exposes hits/misses/computes for
 drills and dashboards.
 """

@@ -78,6 +78,8 @@ def test_kind_codes_compat(dataset):
     decoded = dataset.kinds
     assert decoded.dtype == object
     assert set(decoded) == set(dataset.kind_vocab)
-    window = dataset.slice_rows(10, 200)
-    assert window.kind_vocab == dataset.kind_vocab
-    assert list(window.kinds) == list(decoded[10:200])
+    window = np.zeros(len(dataset), dtype=bool)
+    window[10:200] = True
+    subset = dataset.mask_subset(window)
+    assert subset.kind_vocab == dataset.kind_vocab
+    assert list(subset.kinds) == list(decoded[10:200])

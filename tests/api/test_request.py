@@ -39,7 +39,7 @@ class TestConstruction:
         assert request.seed == 20170652
         assert request.scale == 600
         assert request.payments == 12_000
-        assert request.jobs is None and not request.resume
+        assert request.jobs is None and not request.trace
 
     def test_name_required(self):
         with pytest.raises(RequestError, match="artifact name"):
@@ -67,18 +67,21 @@ class TestConstruction:
             ArtifactRequest(name="fig3", seed="7")  # type: ignore[arg-type]
         with pytest.raises(RequestError, match="jobs"):
             ArtifactRequest(name="fig3", jobs="4")  # type: ignore[arg-type]
+        for scale in (0, -3):
+            with pytest.raises(RequestError, match="scale"):
+                ArtifactRequest(name="fig2", scale=scale)
 
 
 class TestFromNamespace:
     def test_cli_namespace_round_trip(self):
         args = argparse.Namespace(
             command="fig4", seed=7, scale=600, payments=4000, archive=None,
-            jobs=2, resume=True, quarantine=False, strict_ingest=False,
+            jobs=2, quarantine=False, strict_ingest=False,
             trace=None, top=5,
         )
         request = ArtifactRequest.from_namespace(args)
         assert request.name == "fig4"
-        assert request.seed == 7 and request.jobs == 2 and request.resume
+        assert request.seed == 7 and request.jobs == 2
         assert request.top == 5 and not request.trace
 
     def test_artifact_subcommand_name_wins(self):
@@ -142,7 +145,6 @@ class TestCanonicalization:
         base = ArtifactRequest(name="fig3", seed=7, payments=4000)
         for variant in (
             base.replace(jobs=4),
-            base.replace(resume=True),
             base.replace(trace=True),
             base.replace(strict_ingest=True),
         ):
@@ -172,7 +174,7 @@ class TestFingerprintRegression:
     def test_pinned_fingerprint_via_cli_namespace(self):
         args = argparse.Namespace(
             command="fig3", seed=7, scale=600, payments=4000, archive=None,
-            jobs=4, resume=False, quarantine=False, strict_ingest=False,
+            jobs=4, quarantine=False, strict_ingest=False,
             trace="auto",
         )
         request = ArtifactRequest.from_namespace(args)

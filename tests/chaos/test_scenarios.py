@@ -4,7 +4,9 @@
 conflicting pages view-validated at one sequence — while ``sissle-fixed``
 replays the identical fault schedule over a fully-overlapping UNL and
 pays in liveness instead.  The ``fork_threshold`` sweep is pinned by a
-golden sha256 and must be bit-for-bit identical serial vs ``--jobs 2``.
+golden sha256 and must be bit-for-bit identical serial vs ``--jobs 2``
+— and, since it is the one artifact that shards, under ANY contiguous
+partition of its sweep points.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ARTIFACTS
 from repro.api.request import ArtifactRequest
@@ -22,10 +26,14 @@ from repro.chaos.scenarios import (
     SCENARIOS,
     SWEEP_SHARED,
     _amores_setup,
+    _merge_fork_threshold,
+    _sweep_context,
     drill_scenarios,
+    render_fork_threshold,
     run_scenario,
     scenario,
     sweep_points,
+    sweep_shard_rows,
 )
 from repro.consensus.faults import Behaviour, ValidatorProfile
 from repro.consensus.unl import UNL
@@ -231,3 +239,42 @@ class TestForkThreshold:
         )
         result = entry.compute_payload(request)
         assert entry.render_text(result, request) == serial_text
+
+
+#: Close attempts for the partition property: small enough that a whole
+#: sweep costs a fraction of a second, large enough that forked and
+#: fork-free points both appear.
+PARTITION_ROUNDS = 12
+
+
+@pytest.fixture(scope="module")
+def serial_sweep():
+    request = ArtifactRequest(
+        name="fork_threshold", options={"rounds": PARTITION_ROUNDS}
+    )
+    entry = ARTIFACTS["fork_threshold"]
+    return _sweep_context(request), entry.render_text(
+        entry.compute_payload(request), request
+    )
+
+
+@given(
+    cuts=st.lists(st.integers(0, len(SWEEP_SHARED)), max_size=4),
+    data=st.data(),
+)
+@settings(max_examples=6, deadline=None)
+def test_any_partition_reproduces_fork_threshold(serial_sweep, cuts, data):
+    """Arbitrary cut points — uneven, empty parts allowed — and any shard
+    order must merge to the serial bytes, not just the engine's balanced
+    plan."""
+    context, serial_text = serial_sweep
+    points = context["points"]
+    bounds = [0, *sorted(cuts), len(points)]
+    shards = [
+        {"points": points[start:stop], "seed": context["seed"]}
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+    order = data.draw(st.permutations(range(len(shards))))
+    partials = [sweep_shard_rows(shards[index]) for index in order]
+    merged = _merge_fork_threshold(partials, context)
+    assert render_fork_threshold(merged.data) == serial_text

@@ -104,12 +104,13 @@ class TestRunManifest:
     def test_serial_and_jobs4_agree_on_deterministic_view(
         self, capsys, tmp_path
     ):
+        # fork_threshold is the artifact with a sharded contract.
+        sweep = ["fork_threshold", "--rounds", "60"]
         serial_out = tmp_path / "serial.txt"
         sharded_out = tmp_path / "sharded.txt"
-        assert main(["fig3", *SMALL, "--out", str(serial_out),
+        assert main([*sweep, "--out", str(serial_out), "--trace"]) == 0
+        assert main([*sweep, "--jobs", "4", "--out", str(sharded_out),
                      "--trace"]) == 0
-        assert main(["fig3", *SMALL, "--jobs", "4", "--out",
-                     str(sharded_out), "--trace"]) == 0
         capsys.readouterr()
         serial = _load(tmp_path / "serial.txt.manifest.json")
         sharded = _load(tmp_path / "sharded.txt.manifest.json")

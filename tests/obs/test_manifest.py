@@ -31,7 +31,7 @@ def clean_run_context():
 def _args(**overrides):
     base = dict(
         seed=7, scale=600, payments=1200, archive=None, jobs=None,
-        resume=False, quarantine=False,
+        quarantine=False,
     )
     base.update(overrides)
     return argparse.Namespace(**base)
@@ -117,10 +117,9 @@ class TestOutputEntry:
 class TestDeterministicView:
     def test_strips_strategy_and_timing_fields(self, tmp_path):
         RUN.note(plan_fingerprint="abc", shards=4, jobs=4)
-        payload = _build(tmp_path, args=_args(jobs=4, resume=True))
+        payload = _build(tmp_path, args=_args(jobs=4))
         view = deterministic_view(payload)
         assert "jobs" not in view["invocation"]
-        assert "resume" not in view["invocation"]
         assert "timing" not in view
         assert "plan" not in view
         assert "phase_seconds" not in view

@@ -21,7 +21,7 @@ from repro.parallel.engine import (
     map_shards,
     run_compute,
 )
-from repro.parallel.sharding import shard_ranges
+from repro.parallel.sharding import plan_fingerprint, shard_ranges
 
 #: Fast policy for the failure tests — real sleeps stay ~1 ms.
 FAST_POLICY = RetryPolicy(
@@ -57,6 +57,16 @@ class TestShardRanges:
 
     def test_plan_is_deterministic(self):
         assert shard_ranges(1234, 7) == shard_ranges(1234, 7)
+
+
+class TestPlanFingerprint:
+    def test_depends_on_shape(self):
+        assert plan_fingerprint([[1, 2], [3]]) == plan_fingerprint([[9, 9], [9]])
+        assert plan_fingerprint([[1, 2], [3]]) != plan_fingerprint([[1], [2, 3]])
+        assert plan_fingerprint([]) != plan_fingerprint([[1]])
+
+    def test_tolerates_unsized_shards(self):
+        assert plan_fingerprint([7, 8]) == plan_fingerprint([1, 2])
 
 
 class TestEffectiveJobs:
@@ -106,28 +116,6 @@ def _crash_in_workers(shard):
     return value * value
 
 
-def _hang_in_workers(shard):
-    """Hang (for test purposes, 60 s) in workers; instant in the parent."""
-    import time
-
-    value, parent_pid = shard
-    if os.getpid() != parent_pid:
-        time.sleep(60.0)
-    return value * value
-
-
-def _hang_once(shard):
-    """Hang in a worker until a marker exists; drop the marker first."""
-    import time
-
-    value, marker, parent_pid = shard
-    if os.getpid() != parent_pid and not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8") as handle:
-            handle.write("hung\n")
-        time.sleep(60.0)
-    return value * value
-
-
 class TestMapShards:
     def test_results_come_back_in_shard_order(self):
         values = list(range(11))
@@ -159,57 +147,6 @@ class TestMapShards:
         shards = [(1, "/nonexistent-dir/marker")]
         with pytest.raises((ValueError, OSError)):
             map_shards("t", _fail_until_marked, shards, 2, FAST_POLICY)
-
-
-class TestShardWatchdog:
-    def test_env_parsing(self, monkeypatch):
-        from repro.parallel.engine import SHARD_TIMEOUT_ENV, shard_timeout
-
-        monkeypatch.delenv(SHARD_TIMEOUT_ENV, raising=False)
-        assert shard_timeout() is None
-        monkeypatch.setenv(SHARD_TIMEOUT_ENV, "2.5")
-        assert shard_timeout() == 2.5
-        monkeypatch.setenv(SHARD_TIMEOUT_ENV, "0")
-        assert shard_timeout() is None
-        # A typo must not silently switch the watchdog off.
-        for bad in ("banana", "30s", "-1", "nan"):
-            monkeypatch.setenv(SHARD_TIMEOUT_ENV, bad)
-            with pytest.raises(ValueError, match=SHARD_TIMEOUT_ENV):
-                shard_timeout()
-
-    def test_hung_worker_falls_back_to_parent(self):
-        # Workers hang 60 s; a 0.5 s watchdog must cancel them, exhaust the
-        # retry ladder, and compute in the parent — total well under 60 s.
-        shards = [(v, os.getpid()) for v in range(2)]
-        policy = RetryPolicy(max_retries=0, base_backoff=1.0, multiplier=1.0,
-                             max_backoff=1.0, jitter=0.0)
-        results = map_shards("t", _hang_in_workers, shards, 2, policy,
-                             timeout=0.5)
-        assert results == [0, 1]
-
-    def test_hung_worker_recovers_on_retry(self, tmp_path):
-        # The shard hangs on its first worker attempt only: the watchdog
-        # fires once, the resubmit succeeds in a fresh worker.
-        shards = [(v, str(tmp_path / f"hang-{v}"), os.getpid())
-                  for v in range(2)]
-        results = map_shards("t", _hang_once, shards, 2, FAST_POLICY,
-                             timeout=1.0)
-        assert results == [0, 1]
-
-    def test_env_var_drives_map_shards(self, monkeypatch):
-        from repro.parallel.engine import SHARD_TIMEOUT_ENV
-
-        monkeypatch.setenv(SHARD_TIMEOUT_ENV, "0.5")
-        policy = RetryPolicy(max_retries=0, base_backoff=1.0, multiplier=1.0,
-                             max_backoff=1.0, jitter=0.0)
-        shards = [(v, os.getpid()) for v in range(2)]
-        results = map_shards("t", _hang_in_workers, shards, 2, policy)
-        assert results == [0, 1]
-
-    def test_no_timeout_means_no_watchdog_overhead(self):
-        values = list(range(8))
-        assert map_shards("t", _square, values, 4, FAST_POLICY,
-                          timeout=None) == [v * v for v in values]
 
 
 class _FakeArtifact:

@@ -1,9 +1,11 @@
-"""Golden equivalence: ``--jobs 4`` output is byte-identical to serial.
+"""Golden equivalence: ``--jobs N`` output is byte-identical to serial.
 
-This is the engine's contract stated as a test: sharding is an execution
-strategy, never an answer-changing one.  Each case runs the real CLI
-twice — once serial, once across four worker processes — and compares the
-written artifacts with sha256, the same check CI applies.
+This is the engine's contract stated as a test: ``--jobs`` is an
+execution strategy, never an answer-changing one.  The paper's artifacts
+accept ``--jobs`` and run serially (only ``fork_threshold`` shards; its
+equivalence is pinned in ``tests/chaos/test_scenarios.py``).  Each case
+runs the real CLI twice and compares the written artifacts with sha256,
+the same check CI applies.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import glob
 import json
 import os
 
@@ -82,25 +81,6 @@ class TestDurabilityFlags:
         manifest = json.load(open(out_path + ".sha256"))
         assert manifest["format"] == "repro-artifact/1"
         assert manifest["bytes"] == os.path.getsize(out_path)
-
-    def test_resume_journals_and_reloads(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESUME_DIR", str(tmp_path / "resume"))
-        cold = main(["fig3", *SMALL, "--jobs", "1"])
-        cold_out = capsys.readouterr().out
-        assert cold == 0
-
-        assert main(["fig3", *SMALL, "--jobs", "2", "--resume"]) == 0
-        first_out = capsys.readouterr().out
-        checkpoints = glob.glob(
-            str(tmp_path / "resume" / "*" / "shard-*.pkl")
-        )
-        assert len(checkpoints) == 2  # one per shard, sealed on disk
-
-        assert main(["fig3", *SMALL, "--jobs", "2", "--resume"]) == 0
-        second_out = capsys.readouterr().out
-        # Resumed output is bit-for-bit the cold serial output.
-        assert first_out == cold_out
-        assert second_out == cold_out
 
     def test_quarantine_flag_survives_bad_lines(self, capsys, tmp_path):
         archive = str(tmp_path / "dump.jsonl")

@@ -15,7 +15,7 @@ scale (2 000 payments) and holds them to the claims DESIGN §17 makes:
 4. **health** must render all four dimensions of the report;
 5. every rendered report must match its committed golden byte for
    byte, and a ``--jobs 2`` run must produce the same bytes as the
-   serial one — sharding is an execution strategy, not an
+   serial one — ``--jobs`` is an execution strategy, not an
    answer-changing one.
 
 Goldens live in ``examples/cascades/``; regenerate them after an
@@ -169,7 +169,7 @@ def drill(update: bool) -> int:
         parallel = run_cli([*CASES[stem], "--jobs", "2"])
         check(
             parallel == reports[stem],
-            f"sharded {stem} is bit-for-bit identical to the serial run",
+            f"--jobs 2 {stem} is bit-for-bit identical to the serial run",
         )
 
     if update:
