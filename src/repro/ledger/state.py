@@ -23,6 +23,7 @@ from repro.ledger.amounts import Amount
 from repro.ledger.currency import Currency
 from repro.ledger.offers import Offer
 from repro.ledger.trustlines import TrustLine
+from repro.obs.metrics import METRICS
 
 #: Minimum XRP reserve (drops) an account must keep — Ripple's base reserve.
 BASE_RESERVE_DROPS = 20 * 10 ** 6
@@ -107,6 +108,54 @@ class LedgerState:
     def generation(self) -> int:
         """Total mutation counter over trust fabric and order books."""
         return self.trust_generation + self.book_generation
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "LedgerState":
+        """Structural snapshot: fresh ledger entries, shared immutable leaves.
+
+        Only :class:`AccountRoot`, :class:`TrustLine` and :class:`Offer`
+        objects mutate in place, so only they (and the containers holding
+        them) are copied.  ``Amount``, ``AccountID`` and ``Currency`` are
+        frozen and every mutation replaces them rather than editing them,
+        so original and copy can share them safely.  Aliasing is kept:
+        each book entry is the same object as its ``offers`` entry, and
+        every index list holds the copy's own ``trustlines`` objects in
+        the original order.
+        """
+        with METRICS.timer("ledger.snapshot"):
+            new = object.__new__(type(self))
+            memo[id(self)] = new
+            new.__dict__.update(self.__dict__)
+            twins: Dict[int, object] = {}
+
+            def fresh(table: Dict) -> Dict:
+                # Entries were validated when built, so the copy skips
+                # __init__/__post_init__; a trust line's cached float
+                # views travel in its __dict__ with the rest.
+                copied = {}
+                for key, entry in table.items():
+                    twin = object.__new__(type(entry))
+                    twin.__dict__ = entry.__dict__.copy()
+                    copied[key] = twins[id(entry)] = twin
+                return copied
+
+            def relink(index: Dict) -> Dict:
+                return {
+                    key: [twins[id(entry)] for entry in entries]
+                    for key, entries in index.items()
+                }
+
+            new.accounts = fresh(self.accounts)
+            new.trustlines = fresh(self.trustlines)
+            new.offers = fresh(self.offers)
+            new._books = relink(self._books)
+            new._lines_by_truster = relink(self._lines_by_truster)
+            new._lines_by_trustee = relink(self._lines_by_trustee)
+            new._currency_lines = {
+                code: CurrencyLineIndex(relink(index.ins), relink(index.outs))
+                for code, index in self._currency_lines.items()
+            }
+            new._trust_versions = dict(self._trust_versions)
+            return new
 
     # Accounts ----------------------------------------------------------------
 

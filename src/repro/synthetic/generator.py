@@ -11,8 +11,10 @@ Outputs (in :class:`SyntheticHistory`):
 * one :class:`~repro.synthetic.records.TransactionRecord` per payment —
   the Section V feature tuple plus path metadata;
 * offer-placement records for the market-maker concentration statistics;
-* a deep-copied ledger snapshot at the Table II date (Feb 2015) together
-  with the replayable post-snapshot intents (payments, deposits, trust
+* a ledger snapshot at the Table II date (Feb 2015) — a structural copy
+  with its own accounts, trust lines and offers that shares the immutable
+  amounts and account IDs (``LedgerState.__deepcopy__``) — together with
+  the replayable post-snapshot intents (payments, deposits, trust
   updates);
 * the final ledger state, for the balance/trust profiling of Fig. 7.
 """

@@ -1,6 +1,12 @@
 """Tests for mutable ledger state."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     InsufficientBalanceError,
@@ -8,11 +14,12 @@ from repro.errors import (
     TrustLineError,
     UnknownAccountError,
 )
-from repro.ledger.accounts import account_from_name
+from repro.ledger.accounts import AccountID, account_from_name
 from repro.ledger.amounts import Amount
 from repro.ledger.currency import EUR, USD
 from repro.ledger.offers import Offer
 from repro.ledger.state import BASE_RESERVE_DROPS, LedgerState
+from repro.payments.engine import PaymentEngine
 
 
 def usd(value):
@@ -169,3 +176,266 @@ class TestOffers:
         state.place_offer(self.offer(actors, sequence=2))
         assert state.remove_all_offers_of(actors["alice"]) == 2
         assert state.book_offers(USD, EUR) == []
+
+
+# Structural snapshots -------------------------------------------------------
+
+
+def ledger_image(state):
+    """Every ledger field as plain values, in container order."""
+
+    def entries(table):
+        return [(key, dict(vars(entry))) for key, entry in table.items()]
+
+    def line_keys(index):
+        return [
+            (account, [line.key for line in lines])
+            for account, lines in index.items()
+        ]
+
+    return {
+        "accounts": entries(state.accounts),
+        "trustlines": entries(state.trustlines),
+        "offers": entries(state.offers),
+        "books": [
+            (book, [offer.offer_id() for offer in offers])
+            for book, offers in state._books.items()
+        ],
+        "by_truster": line_keys(state._lines_by_truster),
+        "by_trustee": line_keys(state._lines_by_trustee),
+        "currency_lines": [
+            (code, line_keys(index.ins), line_keys(index.outs))
+            for code, index in state._currency_lines.items()
+        ],
+        "trust_versions": list(state._trust_versions.items()),
+        "scalars": [
+            (spec.name, getattr(state, spec.name))
+            for spec in dataclasses.fields(LedgerState)
+            if not isinstance(getattr(state, spec.name), dict)
+        ],
+    }
+
+
+def eur(value):
+    return Amount.from_value(EUR, value)
+
+
+@pytest.fixture()
+def market_state(simple_state):
+    """``simple_state`` plus a EUR line, two offers and a live USD index."""
+    state, actors = simple_state
+    state.set_trust(actors["bob"], actors["gateway"], eur(800))
+    state.apply_hop(actors["gateway"], actors["bob"], eur(300))
+    for sequence in (1, 2):
+        state.place_offer(
+            Offer(
+                owner=actors["alice"],
+                sequence=sequence,
+                taker_pays=usd(100 + sequence),
+                taker_gets=eur(90),
+            )
+        )
+    state.currency_lines(USD.code)
+    return state, actors
+
+
+MUTATIONS = {
+    "apply_hop": lambda s, a: s.apply_hop(a["gateway"], a["bob"], usd(50)),
+    "set_trust_update": lambda s, a: s.set_trust(a["alice"], a["gateway"], usd(5)),
+    "set_trust_new": lambda s, a: s.set_trust(a["carol"], a["bob"], usd(10)),
+    "place_offer": lambda s, a: s.place_offer(
+        Offer(owner=a["bob"], sequence=9, taker_pays=eur(10), taker_gets=usd(9))
+    ),
+    "cancel_offer": lambda s, a: s.cancel_offer(a["alice"], 1),
+    "offer_fill": lambda s, a: s.offers[(a["alice"], 2)].fill(eur(30)),
+    "close_trust_line": lambda s, a: s.close_trust_line(
+        a["alice"], a["gateway"], USD
+    ),
+    "remove_all_offers_of": lambda s, a: s.remove_all_offers_of(a["alice"]),
+    "transfer_xrp": lambda s, a: s.transfer_xrp(a["alice"], a["bob"], 7),
+}
+
+
+class TestStructuralCopy:
+    @pytest.mark.parametrize("which", ["snapshot_state", "state"])
+    def test_matches_pickle_reference(self, history, which):
+        state = getattr(history, which)
+        reference = pickle.loads(pickle.dumps(state))
+        twin = copy.deepcopy(state)
+        assert ledger_image(twin) == ledger_image(reference)
+        assert pickle.dumps(twin) == pickle.dumps(state)
+
+    @pytest.mark.parametrize("which", ["snapshot_state", "state"])
+    def test_aliasing_preserved(self, history, which):
+        state = getattr(history, which)
+        assert state._currency_lines, "generation builds per-currency indexes"
+        twin = copy.deepcopy(state)
+        for offers in twin._books.values():
+            for offer in offers:
+                assert offer is twin.offers[offer.offer_id()]
+        indexes = [twin._lines_by_truster, twin._lines_by_trustee]
+        for index in twin._currency_lines.values():
+            indexes += [index.ins, index.outs]
+        for index in indexes:
+            for lines in index.values():
+                for line in lines:
+                    assert line is twin.trustlines[line.key]
+
+    def test_memo_registers_the_copy(self, market_state):
+        state, _ = market_state
+        memo = {}
+        twin = copy.deepcopy(state, memo)
+        assert memo[id(state)] is twin
+        pair = copy.deepcopy([state, state])
+        assert pair[0] is pair[1]
+
+    def test_no_container_or_entry_shared(self, market_state):
+        state, _ = market_state
+        twin = copy.deepcopy(state)
+        for spec in dataclasses.fields(LedgerState):
+            value = getattr(state, spec.name)
+            if isinstance(value, (dict, list)):
+                assert getattr(twin, spec.name) is not value, spec.name
+        for table in ("accounts", "trustlines", "offers"):
+            for key, entry in getattr(state, table).items():
+                assert getattr(twin, table)[key] is not entry
+
+    @pytest.mark.parametrize("mutated", ["original", "copy"])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_sides_independent(self, market_state, mutation, mutated):
+        state, actors = market_state
+        twin = copy.deepcopy(state)
+        before = ledger_image(state)
+        target, other = (state, twin) if mutated == "original" else (twin, state)
+        MUTATIONS[mutation](target, actors)
+        assert ledger_image(target) != before
+        assert ledger_image(other) == before
+
+    def test_builds_no_amount_or_account(self, history, monkeypatch):
+        """The copy shares leaves: no ``Amount`` or ``AccountID`` is built."""
+        built = []
+
+        def counting(cls, name):
+            inner = getattr(cls, name)
+
+            def wrapper(self, *args):
+                built.append(cls.__name__)
+                return inner(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(Amount, "__post_init__")
+        counting(AccountID, "__post_init__")
+        counting(AccountID, "__setstate__")
+        state = history.state
+        twin = copy.deepcopy(state)
+        assert built == []
+        for mine, theirs in zip(twin.accounts, state.accounts):
+            assert mine is theirs
+            assert twin.accounts[mine].account is state.accounts[theirs].account
+        for key, line in state.trustlines.items():
+            other = twin.trustlines[key]
+            assert other.limit is line.limit
+            assert other.balance is line.balance
+            assert other.truster is line.truster
+        for key, offer in state.offers.items():
+            other = twin.offers[key]
+            assert other.taker_pays is offer.taker_pays
+            assert other.taker_gets is offer.taker_gets
+        assert next(iter(twin._trust_versions)) is next(iter(state._trust_versions))
+
+
+def _random_economy(setup):
+    """A small two-currency economy driven through ``setup`` steps."""
+    state = LedgerState()
+    users = [account_from_name(f"u{i}", namespace="copy") for i in range(4)]
+    gateways = [account_from_name(f"g{i}", namespace="copy") for i in range(2)]
+    maker = account_from_name("maker", namespace="copy")
+    for account in users + gateways + [maker]:
+        state.create_account(account, 10 ** 12)
+    for holder, deposit in [(maker, 10 ** 4)] + [(user, 500) for user in users]:
+        for gateway in gateways:
+            state.set_trust(holder, gateway, usd(2 * deposit))
+            state.set_trust(holder, gateway, eur(2 * deposit))
+        state.apply_hop(gateways[0], holder, usd(deposit))
+        state.apply_hop(gateways[1], holder, eur(deposit))
+    engine = PaymentEngine(state)
+    for op, i, j, value in setup:
+        user, other = users[i % 4], users[j % 4]
+        gateway = gateways[j % 2]
+        currency = (USD, EUR)[i % 2]
+        amount = Amount.from_value(currency, value)
+        if op == "trust":
+            state.set_trust(user, gateway, amount)
+        elif op == "deposit":
+            try:
+                state.apply_hop(gateway, user, amount)
+            except TrustLineError:
+                pass
+        elif op == "offer":
+            state.place_offer(
+                Offer(
+                    owner=maker,
+                    sequence=state.next_sequence(maker),
+                    taker_pays=usd(value * (1 + j / 10)),
+                    taker_gets=eur(value),
+                )
+            )
+        elif op == "cancel":
+            owned = state.offers_by_owner(maker)
+            if owned:
+                state.cancel_offer(maker, owned[i % len(owned)].sequence)
+        elif op == "close":
+            state.close_trust_line(user, gateway, currency)
+        else:
+            engine.submit(user, other, amount, send_max=usd(value * 2))
+    return state, users
+
+
+def _outcome(result):
+    return (
+        result.success,
+        result.error,
+        result.fee_drops,
+        result.outcome.delivered,
+        result.outcome.paths,
+        result.outcome.bridge_account,
+        result.outcome.offers_consumed,
+    )
+
+
+_steps = st.tuples(
+    st.sampled_from(["trust", "deposit", "offer", "cancel", "close", "pay"]),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.integers(1, 400),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    setup=st.lists(_steps, max_size=30),
+    payments=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.booleans(),
+            st.integers(1, 300)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_copy_replays_identically(setup, payments):
+    state, users = _random_economy(setup)
+    twin = copy.deepcopy(state)
+    assert ledger_image(twin) == ledger_image(state)
+    outcomes = []
+    for side in (state, twin):
+        engine = PaymentEngine(side)
+        outcomes.append([
+            _outcome(engine.submit(
+                users[i], users[j],
+                eur(value) if cross else usd(value),
+                send_max=usd(value * 2) if cross else None,
+            ))
+            for i, j, cross, value in payments
+        ])
+    assert outcomes[0] == outcomes[1]
+    assert ledger_image(twin) == ledger_image(state)

@@ -10,10 +10,14 @@ Exercises the serve contract end to end against a real daemon process:
    deterministic envelopes, exactly one computation per distinct
    fingerprint (``serve.computes == 2``), and rendered text matching the
    CLI reference byte for byte;
-3. **durable restart** — a freshly started daemon on the same cache dir
-   must serve fig3 as a cache **hit** without computing anything and
-   without ever touching the warm worker pool (no ``serve.computes``,
-   no ``parallel.pool.*`` counters in the new process).
+3. **warm pool** — a sharded ``fork_threshold`` request at ``jobs=2``
+   is a cache miss computed on the daemon's warm worker pool (its
+   ``parallel.pool.*`` counters tick);
+4. **durable restart** — a freshly started daemon on the same cache dir
+   must serve fig3 and that ``fork_threshold`` request as cache **hits**
+   with identical bytes, without computing anything and without ever
+   touching the warm worker pool (no ``serve.computes``, no
+   ``parallel.pool.*`` counters in the new process).
 
 Exit code 0 = pass, 1 = contract violation, 2 = setup failure.
 """
@@ -34,6 +38,8 @@ from typing import Any, Dict, List, Optional
 from repro.serve.client import ServeClient, ServeError
 
 ARTIFACT_ARGS = {"payments": 4000, "seed": 7}
+#: The one sharded artifact, small enough to compute in a few seconds.
+SHARDED_ARGS = {"rounds": 12, "jobs": 2}
 
 _failures: List[str] = []
 
@@ -81,6 +87,10 @@ def stop_daemon(process: subprocess.Popen, client: ServeClient) -> None:
     except (ServeError, subprocess.TimeoutExpired):
         process.kill()
         process.wait(timeout=10)
+
+
+def pool_counters(stats: Dict[str, Any]) -> List[str]:
+    return sorted(name for name in stats if name.startswith("parallel.pool."))
 
 
 def cold_cli_reference(workdir: str) -> bytes:
@@ -163,6 +173,20 @@ def drill(duplicates: int) -> int:
                 stats.get("serve.requests") == duplicates + 1,
                 "every request was counted",
             )
+
+            print("== daemon round 1: sharded miss on the warm pool ==")
+            sharded = client.artifact("fork_threshold", **SHARDED_ARGS)
+            check(sharded["status"] == "ok", "daemon answers fork_threshold")
+            check(
+                sharded.get("cache") == "miss",
+                f"first fork_threshold is computed "
+                f"(cache={sharded.get('cache')!r})",
+            )
+            pool = pool_counters(client.stats()["counters"])
+            check(
+                bool(pool),
+                f"jobs=2 miss ran on the warm worker pool (counters: {pool})",
+            )
         finally:
             stop_daemon(daemon, client)
 
@@ -180,18 +204,29 @@ def drill(duplicates: int) -> int:
                 warm["rendered_text"] + "\n" == reference.decode("utf-8"),
                 "cached bytes still match the cold CLI reference",
             )
+            warm_sharded = client.artifact("fork_threshold", **SHARDED_ARGS)
+            check(
+                warm_sharded.get("cache") == "hit",
+                f"restarted daemon serves fork_threshold from the durable "
+                f"store (cache={warm_sharded.get('cache')!r})",
+            )
+            check(
+                deterministic_sha(warm_sharded) == deterministic_sha(sharded),
+                "cached fork_threshold bytes match the pool-computed miss",
+            )
             stats = client.stats()["counters"]
             check(
                 not stats.get("serve.computes"),
-                "cache hit computed nothing in the new process",
+                "cache hits computed nothing in the new process",
             )
             check(
-                not any(name.startswith("parallel.pool.") for name in stats),
-                "cache hit never touched the warm worker pool",
+                not pool_counters(stats),
+                f"cache hits never touched the warm worker pool "
+                f"(counters: {pool_counters(stats)})",
             )
             check(
-                stats.get("serve.cache.hits", 0) >= 1,
-                "hit counter ticked",
+                stats.get("serve.cache.hits", 0) >= 2,
+                "hit counter ticked for both requests",
             )
         finally:
             stop_daemon(daemon, client)
