@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-node profile-fig3 trace-fig3 serve-drill live-drill cascade-drill scenario-drill
+.PHONY: test bench bench-smoke bench-node profile-fig3 trace-fig3 contracts
 
 test:
 	$(PYTHON) -m pytest tests -q
@@ -20,27 +20,10 @@ bench-node:
 profile-fig3:
 	$(PYTHON) -m repro --profile fig3
 
-# Daemon contract check: concurrent dedup, byte-equivalence vs the CLI,
-# durable cache hits across a restart (see tools/serve_drill.py).
-serve-drill:
-	$(PYTHON) tools/serve_drill.py
-
-# Crash-safety check: kill -9 an ingest twice mid-stream, resume, and
-# require a digest identical to a never-killed run (tools/live_drill.py).
-live-drill:
-	$(PYTHON) tools/live_drill.py
-
-# Adversarial scenario packs vs committed goldens: a recorded fork under
-# amores-cachin-delay, none under sissle-fixed, serial == --jobs 2 for the
-# fork_threshold sweep (see tools/scenario_drill.py).
-scenario-drill:
-	$(PYTHON) tools/scenario_drill.py
-
-# Health-family contract check: cascade collapse curves vs committed
-# goldens, Table II's point at the final outage wave, serial == --jobs 2
-# (see tools/cascade_drill.py).
-cascade-drill:
-	$(PYTHON) tools/cascade_drill.py
+# Every golden, claim and serial-vs-`--jobs` check in one case table, plus
+# the serve daemon and kill -9 live-ingest contracts (tools/contracts.py).
+contracts:
+	$(PYTHON) tools/contracts.py
 
 # fig3 with span tracing + run manifest, then schema-validate the manifest.
 trace-fig3:

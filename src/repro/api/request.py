@@ -29,6 +29,7 @@ that fingerprint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -109,6 +110,28 @@ class ArtifactRequest:
             # The period runs 1/scale of its length: 0 would divide by
             # zero and a negative scale would render a negative period.
             raise RequestError(f"scale must be >= 1, got {self.scale}")
+        # Counts below 1 would otherwise fall through to ``or DEFAULT``
+        # at the compute sites, slice lists from the end, or raise deep
+        # inside generation; reject them here so CLI and serve agree.
+        if self.payments < 1:
+            raise RequestError(f"payments must be >= 1, got {self.payments}")
+        for key in ("pairs", "rounds", "top", "waves"):
+            value = self.option(key)
+            if value is not None and (
+                not isinstance(value, int) or isinstance(value, bool)
+                or value < 1
+            ):
+                raise RequestError(
+                    f"{key} must be an integer >= 1, got {value!r}"
+                )
+        amount = self.option("amount")
+        if amount is not None and (
+            not isinstance(amount, (int, float)) or isinstance(amount, bool)
+            or not math.isfinite(amount) or amount <= 0
+        ):
+            raise RequestError(
+                f"amount must be a finite number > 0, got {amount!r}"
+            )
         if self.jobs is not None and (
             not isinstance(self.jobs, int) or isinstance(self.jobs, bool)
         ):

@@ -20,7 +20,7 @@ into a segmented write-ahead log before it is applied, state is sealed
 into verified snapshots on a cadence, and recovery is *newest verified
 snapshot + WAL tail replay* — a ``kill -9`` at any instant loses no
 accepted events and resumes to a state digest bit-identical to an
-uninterrupted run (the contract ``tools/live_drill.py`` enforces in CI).
+uninterrupted run (the live contract ``tools/contracts.py`` enforces in CI).
 """
 
 from repro.online.events import (

@@ -70,6 +70,38 @@ class TestConstruction:
         for scale in (0, -3):
             with pytest.raises(RequestError, match="scale"):
                 ArtifactRequest(name="fig2", scale=scale)
+        for payments in (0, -5):
+            with pytest.raises(RequestError, match="payments"):
+                ArtifactRequest(name="fig3", payments=payments)
+        bad_options = [
+            ("fig4", "top", 0), ("fig4", "top", -2), ("fig7", "top", 0),
+            ("health", "pairs", 0), ("health", "pairs", -3),
+            ("cascade", "waves", 0), ("fork_threshold", "rounds", 0),
+            ("fork_threshold", "rounds", -4), ("chaos", "rounds", 0),
+            ("chaos", "rounds", 40.0), ("health", "pairs", True),
+            ("health", "amount", -5.0), ("health", "amount", 0),
+            ("health", "amount", float("nan")),
+            ("health", "amount", float("inf")), ("health", "amount", "10"),
+        ]
+        for name, key, value in bad_options:
+            with pytest.raises(RequestError, match=key):
+                ArtifactRequest(name=name, options={key: value})
+            # The serve wire shape goes through the same check.
+            with pytest.raises(RequestError, match=key):
+                ArtifactRequest.from_dict({"artifact": name, key: value})
+        # jobs keeps its deliberate clamp (effective_jobs(jobs=0) == 1).
+        assert ArtifactRequest(name="fig3", jobs=0).jobs == 0
+
+    def test_cli_rejects_out_of_range_options(self, capsys):
+        from repro.cli import main
+
+        for argv in (
+            ["fig3", "--payments", "0"],
+            ["fig4", "--top", "-2"],
+            ["health", "--amount", "nan"],
+        ):
+            assert main(argv) == 2
+            assert argv[1].lstrip("-") in capsys.readouterr().err
 
 
 class TestFromNamespace:
