@@ -1,17 +1,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-node profile-fig3 trace-fig3 contracts
+.PHONY: test bench bench-node profile-fig3 trace-fig3 contracts
 
 test:
 	$(PYTHON) -m pytest tests -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q
-
-# Reduced generation -> fig3 pipeline; writes BENCH_pipeline.json (<60 s).
-bench-smoke:
-	$(PYTHON) -m repro bench-smoke
 
 # Engine + path-finder throughput; writes BENCH_node.json.
 bench-node:

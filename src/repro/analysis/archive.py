@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import os
 from typing import IO, Iterator, List, Optional, Sequence
 
@@ -53,6 +54,8 @@ ARCHIVE_FORMAT = f"repro-archive/{ARCHIVE_VERSION}"
 
 #: Ripple epoch is 2000-01-01; archive timestamps are seconds after it.
 _MIN_TIMESTAMP = 0
+#: Timestamps land in int64 columns (the dataset, the fingerprint chunks).
+_MAX_TIMESTAMP = 2**63 - 1
 
 
 def _open_read(path: str) -> IO[str]:
@@ -106,9 +109,13 @@ _SCHEMA_FIELDS = {
 def validate_payload(payload: dict) -> Optional[str]:
     """Schema-check one archive line; returns a rejection reason or None.
 
-    Checks field presence, parseable types, and domain ranges: amounts,
-    hop and path counts must be non-negative, the currency a 3-character
-    code, the timestamp post-epoch, and the via list a list of strings.
+    Checks field presence, parseable types, and domain ranges: amounts
+    must be finite and non-negative, hop and path counts non-negative, the
+    currency a 3-character code, the timestamp post-epoch and within
+    int64, and the via list a list of strings.  A live-ingest event that
+    passes is folded into the fingerprint indexes later, at the next
+    read, so nothing that fold cannot take (an infinite amount, a
+    timestamp past int64) may pass.
     """
     if not isinstance(payload, dict):
         return "schema:not-an-object"
@@ -121,11 +128,11 @@ def validate_payload(payload: dict) -> Optional[str]:
         hops = int(payload["h"])
         paths = int(payload["p"])
         index = int(payload["i"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return "schema:type"
-    if timestamp < _MIN_TIMESTAMP:
+    if not _MIN_TIMESTAMP <= timestamp <= _MAX_TIMESTAMP:
         return "schema:timestamp"
-    if not amount >= 0.0:  # also rejects NaN
+    if not 0.0 <= amount < math.inf:  # also rejects NaN
         return "schema:amount"
     if hops < 0 or paths < 0 or index < 0:
         return "schema:counts"

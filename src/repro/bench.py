@@ -1,12 +1,10 @@
-"""Benchmark harness: machine-readable node- and pipeline-level timings.
+"""Benchmark harness: machine-readable node-level throughput.
 
-Two scopes, matching how the system is consumed:
-
-* **node** (:func:`bench_node`) — payment-engine and path-finder
-  throughput on a dense star world: the per-payment hot path;
-* **pipeline** (:func:`bench_pipeline`) — the end-to-end analysis chain
-  the paper's figures ride on: synthetic generation → columnar ETL →
-  Fig. 3 information gain.
+:func:`bench_node` measures payment-engine and path-finder throughput on
+a dense star world — the per-payment hot path — and the CI
+``bench-regression`` job gates it (``tools/bench_gate.py``).  End-to-end
+timings (generation → ETL → every artifact → render, serve and ingest)
+live in ``perfbench/``.
 
 Results are written as JSON with schema ``repro-bench/1``::
 
@@ -29,20 +27,9 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 SCHEMA = "repro-bench/1"
-
-#: Default pipeline economy: big enough that the hot paths dominate,
-#: small enough for a sub-minute smoke run.
-PIPELINE_CONFIG: Dict[str, int] = {
-    "seed": 20170652,
-    "n_payments": 12_000,
-    "n_users": 360,
-    "n_gateways": 20,
-    "n_market_makers": 120,
-    "n_offers": 48_000,
-}
 
 NODE_CONFIG: Dict[str, int] = {"n_users": 200, "iterations": 2000}
 
@@ -59,8 +46,7 @@ def gate_payload(
     """Regression failures for one bench payload (empty list = pass).
 
     Node throughput metrics must stay within ``tolerance`` of the file's
-    baseline.  Pipeline payloads carry wall-clock timings only and are
-    not gated.
+    baseline; payloads of any other kind are not gated.
     """
     baseline = payload.get("baseline") or {}
     current = payload.get("current") or {}
@@ -213,47 +199,5 @@ def bench_node(
     }
 
 
-# Pipeline-level ----------------------------------------------------------------
-
-
-def bench_pipeline(
-    config: Optional[Dict[str, int]] = None,
-) -> Dict[str, float]:
-    """Generation → ETL → Fig. 3 wall-clock on a reduced economy."""
-    from repro.analysis.dataset import TransactionDataset
-    from repro.core.deanonymizer import Deanonymizer
-    from repro.synthetic.config import EconomyConfig
-    from repro.synthetic.generator import LedgerHistoryGenerator
-
-    economy = EconomyConfig(**(config or PIPELINE_CONFIG))
-
-    start = time.perf_counter()
-    history = LedgerHistoryGenerator(economy).generate()
-    generation_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    dataset = TransactionDataset.from_records(history.records)
-    etl_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    gains = Deanonymizer(dataset).figure3()
-    fig3_s = time.perf_counter() - start
-
-    return {
-        "generation_s": round(generation_s, 4),
-        "etl_s": round(etl_s, 5),
-        "figure3_s": round(fig3_s, 5),
-        "rows": len(dataset),
-        "failed_payments": history.failed_payments,
-        "fig3_first_identified": gains[0].identified,
-    }
-
-
 def run_node(out_path: Path) -> Dict[str, object]:
     return write_result(out_path, "node", dict(NODE_CONFIG), bench_node())
-
-
-def run_pipeline(out_path: Path) -> Dict[str, object]:
-    return write_result(
-        out_path, "pipeline", dict(PIPELINE_CONFIG), bench_pipeline()
-    )

@@ -197,23 +197,45 @@ def cmd_manifest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def _checked(command):
+    """Give a non-artifact command a checked :class:`ArtifactRequest`.
+
+    The command reads its economy and dataset parameters from the
+    request, so the request's range checks (``--payments 0``,
+    ``--scale 0`` …) reach it; a failed check, like any
+    :class:`AnalysisError` the command raises, is one line on stderr and
+    exit 2.
+    """
+
+    def run(args: argparse.Namespace) -> int:
+        try:
+            return command(args, ArtifactRequest.from_namespace(args))
+        except AnalysisError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
+
+    return run
+
+
+@_checked
+def cmd_generate(args: argparse.Namespace, request: ArtifactRequest) -> int:
     from repro.analysis.archive import dump_archive
 
     if not args.out:
         print("generate: --out is required", file=sys.stderr)
         return 2
-    history = generate_history(economy_config(args))
+    history = generate_history(economy_config(request))
     written = dump_archive(history.records, args.out)
     print(f"wrote {written} payments to {args.out}")
     return 0
 
 
-def cmd_defenses(args: argparse.Namespace) -> int:
+@_checked
+def cmd_defenses(_args: argparse.Namespace, request: ArtifactRequest) -> int:
     from repro.core.defenses import standard_defense_suite
     from repro.core.resolution import FIGURE3_FEATURE_LISTS
 
-    _, dataset = _dataset_for(args)
+    _, dataset = _dataset_for(request)
     label = FIGURE3_FEATURE_LISTS[0].label()
     print("De-anonymization countermeasures (IG at full resolution):")
     for report in standard_defense_suite(dataset):
@@ -231,18 +253,6 @@ def cmd_bench_node(args: argparse.Namespace) -> int:
 
     out = args.out or "BENCH_node.json"
     payload = run_node(Path(out))
-    print(json.dumps(payload["speedup"], indent=2, sort_keys=True))
-    print(f"wrote {out}")
-    return 0
-
-
-def cmd_bench_smoke(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench import run_pipeline
-
-    out = args.out or "BENCH_pipeline.json"
-    payload = run_pipeline(Path(out))
     print(json.dumps(payload["speedup"], indent=2, sort_keys=True))
     print(f"wrote {out}")
     return 0
@@ -267,13 +277,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_jobs=getattr(args, "jobs", None),
         ingest_state_dir=getattr(args, "ingest_state_dir", None),
     )
-    return run_server(
-        app,
-        socket_path=args.socket,
-        host=args.host,
-        port=args.port or 0,
-        drain_timeout=getattr(args, "drain_timeout", 30.0),
-    )
+    try:
+        return run_server(
+            app,
+            socket_path=args.socket,
+            host=args.host,
+            port=args.port or 0,
+            drain_timeout=getattr(args, "drain_timeout", 30.0),
+        )
+    except AnalysisError as exc:  # the listener could not be bound
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -344,26 +358,28 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_rewards(args: argparse.Namespace) -> int:
+@_checked
+def cmd_rewards(_args: argparse.Namespace, request: ArtifactRequest) -> int:
     from repro.consensus.rewards import compare_policies
 
     print("Validator reward proposal (Section IV): tax sweep")
     for tax, validators, exposure in compare_policies(
-        [0.0, 0.01, 0.05, 0.2], seed=args.seed, epochs=40
+        [0.0, 0.01, 0.05, 0.2], seed=request.seed, epochs=40
     ):
         print(f"  tax {tax:5.2f}/tx -> equilibrium validators {validators:4d}, "
               f"top-3 signature share {exposure:.1%}")
     return 0
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
+@_checked
+def cmd_attack(_args: argparse.Namespace, request: ArtifactRequest) -> int:
     import numpy as np
 
     from repro.core.attack import Observation, SideChannelAttack
 
-    history, dataset = _dataset_for(args)
+    history, dataset = _dataset_for(request)
     attack = SideChannelAttack(dataset, history.state if history else None)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(request.seed)
     rows = np.flatnonzero(dataset.kinds == "fiat")
     row = int(rng.choice(rows))
     observation = Observation(
@@ -515,12 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure engine/path-finder throughput",
     )
     sub.set_defaults(func=cmd_bench_node)
-
-    sub = subparsers.add_parser(
-        "bench-smoke", parents=[parent],
-        help="measure the reduced generation->fig3 pipeline",
-    )
-    sub.set_defaults(func=cmd_bench_smoke)
 
     sub = subparsers.add_parser(
         "artifact", parents=[parent],

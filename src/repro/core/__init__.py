@@ -23,9 +23,11 @@ from repro.core.defenses import (
 )
 from repro.core.deanonymizer import Deanonymizer, InformationGain
 from repro.core.fingerprint import (
-    FingerprintMatrix,
-    build_fingerprints,
-    unique_sender_mask,
+    FingerprintIndex,
+    PaymentChunk,
+    chunk_keys,
+    round_amount,
+    table1_buckets,
 )
 from repro.core.history import FinancialProfile, net_worth_eur, profile_account
 from repro.core.resolution import (
@@ -35,7 +37,6 @@ from repro.core.resolution import (
     TimeResolution,
     coarsen_timestamps,
     granularity_exponent,
-    round_amount,
 )
 from repro.core.robustness import (
     PeriodReport,
@@ -61,20 +62,21 @@ __all__ = [
     "FIGURE3_FEATURE_LISTS",
     "FeatureList",
     "FinancialProfile",
-    "FingerprintMatrix",
+    "FingerprintIndex",
     "InformationGain",
     "Observation",
+    "PaymentChunk",
     "PeriodReport",
     "RobustnessStudy",
     "SideChannelAttack",
     "TimeResolution",
     "ValidatorObservation",
-    "build_fingerprints",
+    "chunk_keys",
     "coarsen_timestamps",
     "granularity_exponent",
     "net_worth_eur",
     "profile_account",
     "round_amount",
     "run_period",
-    "unique_sender_mask",
+    "table1_buckets",
 ]

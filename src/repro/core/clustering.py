@@ -86,7 +86,8 @@ class BehaviouralProfile:
 
     account: AccountID
     destinations: FrozenSet[int]
-    amount_buckets: FrozenSet[int]
+    #: quarter-decade amount classes the account pays in.
+    price_points: FrozenSet[int]
     active_days: FrozenSet[int]
 
     def similarity(self, other: "BehaviouralProfile") -> float:
@@ -99,7 +100,7 @@ class BehaviouralProfile:
         weight = 0.0
         for mine, theirs, importance in (
             (self.destinations, other.destinations, 0.6),
-            (self.amount_buckets, other.amount_buckets, 0.25),
+            (self.price_points, other.price_points, 0.25),
             (self.active_days, other.active_days, 0.15),
         ):
             union = len(mine | theirs)
@@ -115,7 +116,7 @@ def behavioural_profiles(
     """One profile per sender with at least ``min_payments`` payments."""
     profiles: List[BehaviouralProfile] = []
     day = 86400
-    amount_bucket = np.round(np.log10(np.maximum(dataset.amounts, 1e-9)) * 4).astype(int)
+    price_point = np.round(np.log10(np.maximum(dataset.amounts, 1e-9)) * 4).astype(int)
     for sender_id in np.unique(dataset.sender_ids):
         rows = dataset.sender_ids == sender_id
         if int(rows.sum()) < min_payments:
@@ -126,7 +127,7 @@ def behavioural_profiles(
                 destinations=frozenset(
                     int(x) for x in np.unique(dataset.destination_ids[rows])
                 ),
-                amount_buckets=frozenset(int(x) for x in np.unique(amount_bucket[rows])),
+                price_points=frozenset(int(x) for x in np.unique(price_point[rows])),
                 active_days=frozenset(
                     int(x) for x in np.unique(dataset.timestamps[rows] // day)
                 ),

@@ -11,24 +11,22 @@ candidate senders).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.dataset import TransactionDataset
 from repro.core.fingerprint import (
-    FeatureColumnCache,
-    FingerprintMatrix,
-    build_fingerprints,
-    unique_fingerprint_mask,
-    unique_sender_mask,
+    FingerprintIndex,
+    PaymentChunk,
+    chunk_keys,
+    single_sender_mask,
 )
 from repro.core.resolution import (
     FIGURE3_FEATURE_LISTS,
     AmountResolution,
     FeatureList,
     TimeResolution,
-    half_up,
 )
 from repro.errors import AnalysisError
 from repro.ledger.accounts import AccountID
@@ -62,17 +60,28 @@ class Deanonymizer:
         if len(dataset) == 0:
             raise AnalysisError("empty dataset")
         self.dataset = dataset
-        self._cache: Dict[FeatureList, FingerprintMatrix] = {}
-        self._columns = FeatureColumnCache(dataset)
+        self._chunk = PaymentChunk.of_dataset(dataset)
+        #: feature list -> (the dataset folded into one index, row keys).
+        self._cache: Dict[FeatureList, Tuple[FingerprintIndex, List[tuple]]] = {}
 
-    def _fingerprints(self, feature_list: FeatureList) -> FingerprintMatrix:
+    def _fold(self, feature_list: FeatureList) -> Tuple[FingerprintIndex, List[tuple]]:
         found = self._cache.get(feature_list)
         if found is None:
-            found = build_fingerprints(
-                self.dataset, feature_list, cache=self._columns
-            )
-            self._cache[feature_list] = found
+            index = FingerprintIndex(feature_list)
+            found = self._cache[feature_list] = (index, index.absorb(self._chunk))
         return found
+
+    def identified_mask(
+        self, feature_list: FeatureList, strict: bool = True
+    ) -> np.ndarray:
+        """Per payment: is it identified under ``feature_list``?
+
+        ``strict`` selects the measure, as in :meth:`information_gain`.
+        """
+        index, keys = self._fold(feature_list)
+        if strict:
+            return index.unique_mask(keys)
+        return single_sender_mask(keys, self.dataset.sender_ids)
 
     def information_gain(
         self, feature_list: FeatureList, strict: bool = True
@@ -86,14 +95,13 @@ class Deanonymizer:
         (spam campaigns make this mode substantially more powerful).
         """
         with METRICS.timer("deanon.information_gain"):
-            fingerprints = self._fingerprints(feature_list)
             if strict:
-                mask = unique_fingerprint_mask(fingerprints)
+                identified = self._fold(feature_list)[0].unique
             else:
-                mask = unique_sender_mask(fingerprints, self.dataset.sender_ids)
+                identified = int(self.identified_mask(feature_list, False).sum())
             return InformationGain(
                 feature_list=feature_list,
-                identified=int(mask.sum()),
+                identified=identified,
                 total=len(self.dataset),
             )
 
@@ -113,32 +121,16 @@ class Deanonymizer:
         timestamp: Optional[int] = None,
         destination: Optional[AccountID] = None,
     ) -> np.ndarray:
-        """Row indices of payments matching the observed features.
+        """Row indices of payments whose fingerprint equals the observation's.
 
-        The observation is coarsened exactly the way the dataset's
-        fingerprints were, so matching is bucket-to-bucket.
+        The observation goes through the same key function as the
+        dataset, so a payment observed at its own recorded features
+        always matches its own row.
         """
-        dataset = self.dataset
-        mask = np.ones(len(dataset), dtype=bool)
-        # Both the currency feature and the amount bucketing need the
-        # currency's row set; compute it once.
-        currency_rows: Optional[np.ndarray] = None
-        if currency is not None:
-            currency_rows = dataset.rows_for_currency(currency)
-
-        if feature_list.use_currency:
-            if currency_rows is None:
-                raise AnalysisError("feature list requires a currency observation")
-            mask &= currency_rows
-
-        if feature_list.use_destination:
-            if destination is None:
-                raise AnalysisError("feature list requires a destination observation")
-            destination_id = dataset.account_id_of(destination)
-            if destination_id is None:
-                return np.empty(0, dtype=np.int64)
-            mask &= dataset.destination_ids == destination_id
-
+        if feature_list.use_currency and currency is None:
+            raise AnalysisError("feature list requires a currency observation")
+        if feature_list.use_destination and destination is None:
+            raise AnalysisError("feature list requires a destination observation")
         if feature_list.time is not TimeResolution.NONE:
             if timestamp is None:
                 raise AnalysisError("feature list requires a timestamp observation")
@@ -147,29 +139,21 @@ class Deanonymizer:
                     "negative (pre-epoch) timestamp observation; timestamps "
                     "are non-negative epoch seconds"
                 )
-            bucket = feature_list.time.bucket_seconds()
-            observed_bucket = (int(timestamp) // bucket) * bucket
-            mask &= self._columns.time_column(feature_list.time) == observed_bucket
-
-        if feature_list.amount is not AmountResolution.NONE:
-            if amount is None or currency_rows is None:
-                raise AnalysisError(
-                    "feature list requires amount and currency observations"
-                )
-            per_row = self._columns.per_row_exponents()
-            buckets = self._columns.amount_column(feature_list.amount, True)
-            if not currency_rows.any():
-                return np.empty(0, dtype=np.int64)
-            row_exponent = int(per_row[np.argmax(currency_rows)])
-            offset = feature_list.amount.exponent_offset()
-            # Same half-up tie rule as the dataset-side bucketing, so an
-            # observation exactly on a bucket edge matches its payments.
-            observed_bucket = int(
-                half_up(amount / 10.0 ** (row_exponent + offset))
+        if feature_list.amount is not AmountResolution.NONE and (
+            amount is None or currency is None
+        ):
+            raise AnalysisError(
+                "feature list requires amount and currency observations"
             )
-            mask &= buckets == observed_bucket
-
-        return np.flatnonzero(mask)
+        observed = PaymentChunk(
+            amounts=np.array([0.0 if amount is None else amount]),
+            timestamps=np.array([0 if timestamp is None else int(timestamp)]),
+            currencies=[currency],
+            destinations=[destination],
+        )
+        key = chunk_keys(feature_list, observed)[0]
+        keys = self._fold(feature_list)[1]
+        return np.flatnonzero([row_key == key for row_key in keys])
 
     def candidate_senders(
         self,

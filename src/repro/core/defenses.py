@@ -123,10 +123,7 @@ def _history_exposure(dataset: TransactionDataset, feature_list: FeatureList) ->
     payment is matched"; exposure says "and here is how much more of your
     life comes with it".
     """
-    deanonymizer = Deanonymizer(dataset)
-    from repro.core.fingerprint import unique_fingerprint_mask
-
-    mask = unique_fingerprint_mask(deanonymizer._fingerprints(feature_list))
+    mask = Deanonymizer(dataset).identified_mask(feature_list)
     if not mask.any():
         return 0.0
     counts = np.bincount(dataset.sender_ids, minlength=len(dataset.accounts))

@@ -1,19 +1,33 @@
-"""Building payment fingerprints from a transaction dataset.
+"""The Fig. 3 fingerprint kernel: the one definition of "same ⟨A, T, C, D⟩".
 
 A *fingerprint* is the concatenation of the selected ⟨A, T, C, D⟩ features
 at their chosen resolutions.  Two payments with equal fingerprints are
 indistinguishable to an observer holding only that side-channel
 information; the de-anonymizer asks how often a fingerprint pins down a
-single sender.
+single payment (Fig. 3) or a single sender.
 
-Everything here is vectorized: fingerprints are rows of an integer matrix,
-grouped with ``np.unique(axis=0)`` — O(n log n) over the whole history.
+Every path that decides fingerprint equality goes through this module —
+batch Fig. 3 and the per-sender IG (:class:`~repro.core.deanonymizer.
+Deanonymizer`), the defenses, the attacker query
+(:meth:`~repro.core.deanonymizer.Deanonymizer.candidate_rows`) and live
+ingest (:class:`~repro.online.state.OnlineState`).  It has three parts:
+
+* :func:`table1_buckets` — Table I amount bucketing, half-up, dividing by
+  an exactly representable power of ten;
+* :func:`chunk_keys` — one hashable key per payment of a
+  :class:`PaymentChunk`, built from feature *values* (bucket, time
+  bucket, currency code, destination), never from a dataset's
+  factorization ranks, so keys from different chunks, processes and
+  snapshots are equal exactly when the fingerprints are;
+* :class:`FingerprintIndex` — the fold: fingerprint multiplicities over
+  any sequence of chunks, and the unique count Fig. 3 reports.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,207 +39,203 @@ from repro.core.resolution import (
     coarsen_timestamps,
     granularity_exponent,
     half_up,
-    round_amounts_vector,
 )
 from repro.errors import AnalysisError
 from repro.ledger.currency import Currency
 
 
-def max_exponent_per_currency(dataset: TransactionDataset) -> np.ndarray:
-    """Per-currency Table I max-resolution exponent, aligned to the
-    dataset's currency factorization."""
-    return np.array(
-        [
-            granularity_exponent(Currency(code), AmountResolution.MAX)
-            for code in dataset.currencies
-        ],
-        dtype=np.int64,
-    )
+def table1_buckets(amounts, exponents) -> np.ndarray:
+    """Table I bucket index per amount: ``amount / 10**exponent``, half-up.
+
+    ``10**e`` is an exact float for ``e >= 0`` and ``10**-e`` for
+    ``e <= 0`` (``1e-5`` is not), so the quotient divides by ``10**e``
+    when ``e > 0`` and multiplies by ``10**-e`` otherwise — one rounding
+    either way.  An amount exactly on a bucket edge (XRP 150000 at 10^5)
+    therefore reaches its exact ``x.5`` and half-up sends it to the upper
+    bucket, the same one :meth:`repro.ledger.amounts.Amount.round_to`
+    picks.
+    """
+    amounts = np.asarray(amounts, dtype=np.float64)
+    exponents = np.asarray(exponents, dtype=np.int64)
+    divisor = np.power(10.0, np.maximum(exponents, 0))
+    multiplier = np.power(10.0, np.maximum(-exponents, 0))
+    return half_up(amounts / divisor * multiplier).astype(np.int64)
 
 
-class FeatureColumnCache:
-    """Coarsened feature columns for one dataset, shared across lists.
+def round_amount(
+    value: float, currency: Currency, resolution: AmountResolution
+) -> float:
+    """Round a single amount per Table I (scalar convenience API)."""
+    exponent = granularity_exponent(currency, resolution)
+    if exponent is None:
+        return float("nan")
+    return float(table1_buckets([value], [exponent])[0]) * 10.0 ** exponent
 
-    Fig. 3 evaluates ten feature lists over the same history; most pairs of
-    lists share coarsened columns (four lists use ``Tsc`` timestamps, five
-    use ``Am`` amount buckets...).  The cache computes each distinct column
-    once, with exactly the same functions the uncached path uses, so cached
-    and uncached fingerprints are bit-identical.
+
+@dataclass(frozen=True)
+class PaymentChunk:
+    """The observable ⟨A, T, C, D⟩ columns of some payments, by value.
+
+    ``destinations`` holds any hashable identity of each destination
+    account, used verbatim in the key: an :class:`AccountID` for a
+    dataset, its ``r…`` address on the live stream.  Keys are compared
+    only within one kind of chunk, so either is exact.
     """
 
-    def __init__(self, dataset: TransactionDataset):
-        self.dataset = dataset
-        self._currency_exponents: Optional[np.ndarray] = None
-        self._per_row_exponents: Optional[np.ndarray] = None
-        self._time: dict = {}
-        self._amount: dict = {}
+    amounts: np.ndarray  # float64, currency units
+    timestamps: np.ndarray  # int64, non-negative epoch seconds
+    currencies: Sequence[str]
+    destinations: Sequence[Hashable]
 
-    def currency_exponents(self) -> np.ndarray:
-        """Max-resolution exponent per currency (dataset currency order)."""
-        if self._currency_exponents is None:
-            self._currency_exponents = max_exponent_per_currency(self.dataset)
-        return self._currency_exponents
+    def __len__(self) -> int:
+        return len(self.amounts)
 
-    def per_row_exponents(self) -> np.ndarray:
-        """Max-resolution exponent of each row's currency."""
-        if self._per_row_exponents is None:
-            self._per_row_exponents = self.currency_exponents()[
-                self.dataset.currency_ids
-            ]
-        return self._per_row_exponents
-
-    def time_column(self, resolution: TimeResolution) -> np.ndarray:
-        found = self._time.get(resolution)
-        if found is None:
-            found = coarsen_timestamps(self.dataset.timestamps, resolution)
-            self._time[resolution] = found
-        return found
-
-    def amount_column(
-        self, resolution: AmountResolution, use_currency: bool
-    ) -> np.ndarray:
-        # HIGH shares MAX's granularity (Table I gives it no row), so the
-        # buckets coincide; key on the effective exponent offset instead of
-        # the enum to share that work too.
-        key = (resolution.exponent_offset(), use_currency)
-        found = self._amount.get(key)
-        if found is None:
-            per_row = self.per_row_exponents()
-            found = round_amounts_vector(self.dataset.amounts, per_row, resolution)
-            if not use_currency:
-                # Without the currency feature, amounts in different
-                # currencies may still collide numerically; but the rounding
-                # granularity depends on the currency, so we must NOT leak
-                # currency identity through the bucket scale.  Re-express
-                # buckets in absolute value terms: bucket * 10^exponent,
-                # quantized at the finest granularity of any currency in the
-                # dataset's factorization (not merely the rows at hand, so
-                # that a row subset rescales exactly like the full
-                # dataset — uniform rescaling preserves the grouping either
-                # way).  ``half_up`` snaps the integral-valued products back
-                # to exact integers with the same tie rule the bucketing
-                # itself uses.
-                finest = int(self.currency_exponents().min())
-                scale = np.power(10.0, (per_row - finest).astype(np.float64))
-                found = half_up(found * scale).astype(np.int64)
-            self._amount[key] = found
-        return found
-
-
-@dataclass
-class FingerprintMatrix:
-    """Fingerprint columns for one feature list over one dataset."""
-
-    columns: np.ndarray  # (n, k) int64; k >= 1
-    feature_list: FeatureList
-
-    @property
-    def n(self) -> int:
-        return self.columns.shape[0]
-
-    def group_inverse(self) -> np.ndarray:
-        """Group id per row (equal fingerprints share an id).
-
-        Column-at-a-time factorization instead of ``np.unique(axis=0)``:
-        each column is compressed to dense ranks, then folded into a
-        running mixed-radix key that is re-compressed after every column.
-        Per-column ranks preserve value order, so the running key's numeric
-        order is the rows' lexicographic order — the final labels are
-        exactly the ``np.unique(axis=0)`` inverse, at the cost of k cheap
-        1-D sorts instead of one structured row sort.  Re-compression keeps
-        every key below n * max-column-cardinality, so int64 never
-        overflows.
-        """
-        cols = self.columns
-        if cols.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        _, keys = np.unique(cols[:, 0], return_inverse=True)
-        keys = keys.ravel()
-        for j in range(1, cols.shape[1]):
-            _, ranks = np.unique(cols[:, j], return_inverse=True)
-            ranks = ranks.ravel()
-            radix = int(ranks.max()) + 1
-            _, keys = np.unique(keys * radix + ranks, return_inverse=True)
-            keys = keys.ravel()
-        return keys
-
-
-def build_fingerprints(
-    dataset: TransactionDataset,
-    feature_list: FeatureList,
-    cache: Optional[FeatureColumnCache] = None,
-) -> FingerprintMatrix:
-    """Assemble the integer fingerprint matrix for ``feature_list``.
-
-    ``cache`` shares coarsened columns across calls for the same dataset
-    (the :class:`Deanonymizer` holds one); without it a transient cache is
-    used, computing every column the same way.
-
-    Raises :class:`AnalysisError` when every feature is dropped — an empty
-    fingerprint identifies nothing and the caller should treat IG as 0.
-    """
-    if cache is None:
-        cache = FeatureColumnCache(dataset)
-    elif cache.dataset is not dataset:
-        raise AnalysisError("column cache belongs to a different dataset")
-    columns: List[np.ndarray] = []
-
-    if feature_list.amount is not AmountResolution.NONE:
-        columns.append(
-            cache.amount_column(feature_list.amount, feature_list.use_currency)
+    @classmethod
+    def of_dataset(cls, dataset: TransactionDataset) -> "PaymentChunk":
+        accounts = np.empty(len(dataset.accounts), dtype=object)
+        accounts[:] = list(dataset.accounts)
+        codes = np.array(dataset.currencies, dtype=object)
+        return cls(
+            amounts=dataset.amounts,
+            timestamps=dataset.timestamps,
+            currencies=codes[dataset.currency_ids].tolist(),
+            destinations=accounts[dataset.destination_ids].tolist(),
         )
 
+
+def _absolute_amounts(
+    buckets: np.ndarray, exponents: np.ndarray
+) -> Tuple[List[int], List[int]]:
+    """``bucket * 10**exponent`` as a normalized (mantissa, exponent) pair.
+
+    Trailing zeros move into the exponent (and zero is ``(0, 0)``), so two
+    pairs are equal exactly when the absolute amounts are — whatever
+    currency scaled each bucket.
+    """
+    mantissa = buckets.copy()
+    exponent = exponents.copy()
+    while True:
+        shift = (mantissa % 10 == 0) & (mantissa != 0)
+        if not shift.any():
+            break
+        mantissa[shift] //= 10
+        exponent[shift] += 1
+    exponent[mantissa == 0] = 0
+    return mantissa.tolist(), exponent.tolist()
+
+
+def chunk_keys(feature_list: FeatureList, chunk: PaymentChunk) -> List[tuple]:
+    """One fingerprint key per payment of ``chunk`` under ``feature_list``.
+
+    A key is the tuple of the selected feature values in a fixed order —
+    amount bucket, time bucket, currency code, destination — with dropped
+    features left out.  Without the currency feature the amount bucket is
+    the currency-blind ``(mantissa, exponent)`` of :func:`_absolute_amounts`:
+    20 EUR and 20 USD collide, 20 EUR and 200000 XRP do not.
+
+    Raises :class:`AnalysisError` when every feature is dropped — an empty
+    fingerprint identifies nothing.
+    """
+    columns: List[Sequence] = []
+    if feature_list.amount is not AmountResolution.NONE:
+        exponent_of: Dict[str, int] = {
+            code: granularity_exponent(Currency(code), feature_list.amount)
+            for code in set(chunk.currencies)
+        }
+        exponents = np.fromiter(
+            (exponent_of[code] for code in chunk.currencies),
+            dtype=np.int64,
+            count=len(chunk),
+        )
+        buckets = table1_buckets(chunk.amounts, exponents)
+        if feature_list.use_currency:
+            columns.append(buckets.tolist())
+        else:
+            columns.extend(_absolute_amounts(buckets, exponents))
     if feature_list.time is not TimeResolution.NONE:
-        columns.append(cache.time_column(feature_list.time))
-
+        columns.append(
+            coarsen_timestamps(chunk.timestamps, feature_list.time).tolist()
+        )
     if feature_list.use_currency:
-        columns.append(dataset.currency_ids)
-
+        columns.append(chunk.currencies)
     if feature_list.use_destination:
-        columns.append(dataset.destination_ids)
-
+        columns.append(chunk.destinations)
     if not columns:
         raise AnalysisError("feature list selects no features at all")
-
-    matrix = np.column_stack(columns).astype(np.int64)
-    return FingerprintMatrix(columns=matrix, feature_list=feature_list)
+    return list(zip(*columns))
 
 
-def unique_fingerprint_mask(fingerprints: FingerprintMatrix) -> np.ndarray:
-    """Boolean per payment: is its fingerprint unique in the history?
+class FingerprintIndex:
+    """The fingerprint multiset of one feature list, folded chunk by chunk.
 
-    This is Fig. 3's measure ("percentage of Ripple payments producing a
-    unique fingerprint"): the fingerprint occurs exactly once, so the
-    payment — and hence its sender — is pinned down with certainty.
+    ``counts`` maps key -> multiplicity; :attr:`unique`, the number of
+    keys seen exactly once, *is* Fig. 3's identified-payment count.  The
+    fold is a multiset sum, so any split of the payments into chunks,
+    absorbed in any order, gives the same counts.
     """
-    groups = fingerprints.group_inverse()
-    counts = np.bincount(groups)
-    return counts[groups] == 1
+
+    def __init__(self, feature_list: FeatureList, counts=None):
+        self.feature_list = feature_list
+        self.counts: Counter = Counter(counts or {})
+
+    def absorb(self, chunk: PaymentChunk) -> List[tuple]:
+        """Count every payment of ``chunk``; returns their keys in order."""
+        keys = chunk_keys(self.feature_list, chunk)
+        self.counts.update(keys)
+        return keys
+
+    @property
+    def unique(self) -> int:
+        return list(self.counts.values()).count(1)
+
+    def unique_mask(self, keys: Sequence[tuple]) -> np.ndarray:
+        """Per key: does its fingerprint occur exactly once?"""
+        counts = self.counts
+        return np.fromiter(
+            (counts[key] == 1 for key in keys), dtype=bool, count=len(keys)
+        )
+
+    def payload(self) -> dict:
+        """JSON form: the keys column by column, then their counts.
+
+        Keys are in first-seen order.  Chunks fold in arrival order, so
+        that order is a function of the absorbed payment sequence alone —
+        the same for a run restored from this payload and one that never
+        stopped.
+        """
+        return {
+            "label": self.feature_list.label(),
+            "keys": list(zip(*self.counts)),
+            "counts": list(self.counts.values()),
+        }
+
+    @classmethod
+    def from_payload(
+        cls, feature_list: FeatureList, payload: dict
+    ) -> "FingerprintIndex":
+        # One object per distinct value, as in a live fold: parsed JSON
+        # holds a fresh copy of every repeated string and integer.
+        shared: Dict[Hashable, Hashable] = {}
+        columns = [
+            [shared.setdefault(value, value) for value in column]
+            for column in payload["keys"]
+        ]
+        return cls(feature_list, dict(zip(zip(*columns), payload["counts"])))
 
 
-def unique_sender_mask(
-    fingerprints: FingerprintMatrix, sender_ids: np.ndarray
+def single_sender_mask(
+    keys: Sequence[tuple], sender_ids: np.ndarray
 ) -> np.ndarray:
-    """Boolean per payment: does its fingerprint identify a single sender?
+    """Per payment: do all payments sharing its fingerprint have one sender?
 
-    A fingerprint group identifies the sender when *all* payments in the
-    group come from the same account — even if the group has several
-    payments (the paper's IG is about identifying S, not the payment).
+    A fingerprint identifies the sender when *all* payments carrying it
+    come from the same account — even if there are several (the paper's
+    IG is about identifying S, not the payment).
     """
-    groups = fingerprints.group_inverse()
-    order = np.argsort(groups, kind="stable")
-    sorted_groups = groups[order]
-    sorted_senders = sender_ids[order]
-    boundaries = np.flatnonzero(np.diff(sorted_groups)) + 1
-    starts = np.concatenate(([0], boundaries))
-    # A group pins the sender iff its min and max sender id coincide.
-    group_min = np.minimum.reduceat(sorted_senders, starts)
-    group_max = np.maximum.reduceat(sorted_senders, starts)
-    group_identified = group_min == group_max
-    segment_ids = np.zeros(len(groups), dtype=np.int64)
-    segment_ids[boundaries] = 1
-    segment_ids = np.cumsum(segment_ids)
-    identified_sorted = group_identified[segment_ids]
-    mask = np.empty(len(groups), dtype=bool)
-    mask[order] = identified_sorted
-    return mask
+    sender_of: Dict[tuple, int] = {}
+    for key, sender in zip(keys, sender_ids.tolist()):
+        if sender_of.setdefault(key, sender) != sender:
+            sender_of[key] = -1
+    return np.fromiter(
+        (sender_of[key] != -1 for key in keys), dtype=bool, count=len(keys)
+    )

@@ -92,40 +92,10 @@ def half_up(values):
     and 1.5 land in the same bucket (0 and 2) while 2.5 joins 2 — amounts
     exactly on a bucket edge would split inconsistently.  Half-up matches
     :meth:`repro.ledger.amounts.Amount.round_to` (half-away-from-zero for
-    the positive amounts a payment can carry) and keeps the scalar, the
-    vectorized, and the attacker-query paths in the same bucket.
+    the positive amounts a payment can carry); every path buckets through
+    :func:`repro.core.fingerprint.table1_buckets`, which applies it.
     """
     return np.floor(np.asarray(values, dtype=np.float64) + 0.5)
-
-
-def round_amount(value: float, currency: Currency, resolution: AmountResolution) -> float:
-    """Round a single amount per Table I (scalar convenience API)."""
-    exponent = granularity_exponent(currency, resolution)
-    if exponent is None:
-        return float("nan")
-    granularity = 10.0 ** exponent
-    return float(half_up(value / granularity) * granularity)
-
-
-def round_amounts_vector(
-    amounts: np.ndarray,
-    currency_exponents: np.ndarray,
-    resolution: AmountResolution,
-) -> np.ndarray:
-    """Vectorized Table I rounding to integer bucket indices.
-
-    ``currency_exponents`` holds, per row, the *max-resolution* exponent of
-    the row's currency; the resolution offset shifts it.  Returns integer
-    bucket ids (amount / 10^exponent, rounded half-up), which is what
-    fingerprint grouping needs — two amounts are indistinguishable iff they
-    share a bucket.
-    """
-    offset = resolution.exponent_offset()
-    if offset is None:
-        raise ValueError("cannot round at resolution NONE")
-    exponents = currency_exponents + offset
-    scale = np.power(10.0, -exponents.astype(np.float64))
-    return half_up(amounts * scale).astype(np.int64)
 
 
 def coarsen_timestamps(timestamps: np.ndarray, resolution: TimeResolution) -> np.ndarray:

@@ -7,10 +7,11 @@ process tails a live event source — a
 maintains the paper's results incrementally:
 
 * an **online de-anonymizer**: one ⟨A, T, C, D⟩ fingerprint index per
-  Fig. 3 feature list, absorbing each payment in O(1) amortized and
-  answering "is this payment unique yet?" at any instant;
+  Fig. 3 feature list — the batch fold of :mod:`repro.core.fingerprint`,
+  fed the payments buffered since the last read;
 * **live Fig. 3 / Table II counters**: information gain per feature list
-  and delivery rates per payment category, updated per event;
+  (current at every read) and delivery rates per payment category
+  (updated per event);
 * a **per-view fork watch** over the validation stream, flagging
   sequences at which conflicting pages view-validated
   (:mod:`repro.consensus.forks` semantics, evaluated incrementally).
@@ -42,7 +43,7 @@ from repro.online.pipeline import (
     read_status,
 )
 from repro.online.snapshots import SnapshotStore
-from repro.online.state import ForkWatch, OnlineFingerprintIndex, OnlineState
+from repro.online.state import ForkWatch, OnlineState
 from repro.online.supervisor import IngestSupervisor, SupervisorError
 from repro.online.wal import WriteAheadLog
 
@@ -56,7 +57,6 @@ __all__ = [
     "IngestEvent",
     "IngestPipeline",
     "IngestSupervisor",
-    "OnlineFingerprintIndex",
     "OnlineState",
     "PoisonEventError",
     "SnapshotStore",

@@ -121,7 +121,8 @@ class SnapshotStore:
             SNAPSHOT_FORMAT
         ):
             raise IngestError(f"{path}: not a {SNAPSHOT_FORMAT} snapshot")
-        state = OnlineState.from_payload(payload["state"])
+        # Popped, so the parsed state is freed before the digest re-encodes it.
+        state = OnlineState.from_payload(payload.pop("state"))
         if state.digest() != payload.get("digest"):
             raise IntegrityError(f"{path}: state digest mismatch")
         if state.applied_seq != int(payload.get("applied_seq", -2)):

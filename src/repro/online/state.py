@@ -4,14 +4,15 @@
 everything the batch artifacts compute over a frozen archive, kept
 current per event:
 
-* **fingerprint indexes** — one :class:`OnlineFingerprintIndex` per
-  Fig. 3 feature list.  Each absorbs a delivered payment in O(1)
-  amortized (a handful of dict updates) and maintains the number of
-  *unique* fingerprints directly, so information gain is a division at
-  read time.  Bucketing reuses the exact scalar arithmetic of the batch
-  path (:mod:`repro.core.resolution` half-up rounding over Table I
-  exponents), so the online identified-counts match
-  :meth:`repro.core.deanonymizer.Deanonymizer.figure3` exactly;
+* **fingerprint indexes** — one
+  :class:`repro.core.fingerprint.FingerprintIndex` per Fig. 3 feature
+  list, the same fold the batch ``Deanonymizer`` runs.  ``absorb``
+  validates and counts each event and buffers its delivered payment;
+  every read (``figure3_rows``, ``payload`` and so ``digest``,
+  ``summary``) first folds the buffer through the kernel as one chunk.
+  Keys are value-derived and the fold is a multiset sum, so the
+  identified counts equal ``Deanonymizer.figure3`` exactly, however the
+  stream was cut into reads;
 * **delivery counters** — Table II-shaped submitted/delivered tallies
   per payment category (cross- vs single-currency), watching delivery
   health as a running rate rather than a batch replay;
@@ -35,16 +36,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.consensus.unl import UNL
-from repro.core.resolution import (
-    FIGURE3_FEATURE_LISTS,
-    AmountResolution,
-    FeatureList,
-    TimeResolution,
-    granularity_exponent,
-    half_up,
-)
+from repro.core.fingerprint import FingerprintIndex, PaymentChunk
+from repro.core.resolution import FIGURE3_FEATURE_LISTS, FeatureList
 from repro.errors import IngestError
-from repro.ledger.currency import Currency
 from repro.obs.metrics import METRICS
 from repro.online.events import (
     KIND_PAYMENT,
@@ -54,129 +48,7 @@ from repro.online.events import (
 )
 
 #: Snapshot/state schema tag; bump when the serialized layout changes.
-STATE_VERSION = 1
-
-
-def amount_bucket(amount: float, currency: str, resolution: AmountResolution) -> int:
-    """The Table I bucket id of one amount — scalar twin of
-    :func:`repro.core.resolution.round_amounts_vector`.
-
-    Uses the same float64 operations in the same order (power, multiply,
-    half-up) so scalar and vectorized bucketing agree bit for bit.
-    """
-    exponent = granularity_exponent(Currency(currency), resolution)
-    scale = float(np.power(10.0, -np.float64(exponent)))
-    return int(half_up(np.float64(amount) * scale))
-
-
-def _absolute_amount_key(bucket: int, exponent: int) -> str:
-    """Currency-blind amount key: ``bucket * 10^exponent`` normalized.
-
-    The batch path re-expresses currency-scaled buckets in absolute
-    value terms (quantized at the dataset's finest exponent); two rows
-    collide there iff ``bucket_i * 10^(exp_i)`` are equal as reals.
-    Stripping trailing zeros into the exponent gives a canonical form
-    with exactly that equality — independent of any dataset-wide
-    "finest" exponent, which an online index cannot know in advance.
-    """
-    if bucket == 0:
-        return "0e0"
-    while bucket % 10 == 0:
-        bucket //= 10
-        exponent += 1
-    return f"{bucket}e{exponent}"
-
-
-def fingerprint_key(
-    feature_list: FeatureList,
-    amount: float,
-    timestamp: int,
-    currency: str,
-    destination: str,
-) -> str:
-    """The canonical fingerprint of one payment under ``feature_list``.
-
-    Components are joined with ``|`` in a fixed order; dropped features
-    contribute nothing.  Keys are compared only for equality, so any
-    injective encoding works — this one is also stable across runs,
-    which the snapshot digest requires.
-    """
-    parts: List[str] = []
-    if feature_list.amount is not AmountResolution.NONE:
-        exponent = granularity_exponent(
-            Currency(currency), feature_list.amount
-        )
-        bucket = amount_bucket(amount, currency, feature_list.amount)
-        if feature_list.use_currency:
-            parts.append(f"a{bucket}")
-        else:
-            parts.append("A" + _absolute_amount_key(bucket, exponent))
-    if feature_list.time is not TimeResolution.NONE:
-        if timestamp < 0:
-            raise IngestError("pre-epoch timestamp in fingerprint")
-        bucket_seconds = feature_list.time.bucket_seconds()
-        parts.append(f"t{(timestamp // bucket_seconds) * bucket_seconds}")
-    if feature_list.use_currency:
-        parts.append(f"c{currency}")
-    if feature_list.use_destination:
-        parts.append(f"d{destination}")
-    return "|".join(parts)
-
-
-class OnlineFingerprintIndex:
-    """Fingerprint multiset for one feature list, with a live unique count.
-
-    ``counts`` maps fingerprint key -> multiplicity; ``unique`` tracks
-    how many keys currently have multiplicity exactly one — which *is*
-    the paper's identified-payment count, maintained incrementally:
-    a key moving 0→1 gains a unique payment, 1→2 loses one, and further
-    repeats change nothing.
-    """
-
-    def __init__(
-        self,
-        feature_list: FeatureList,
-        counts: Optional[Dict[str, int]] = None,
-        unique: int = 0,
-    ):
-        self.feature_list = feature_list
-        self.counts: Dict[str, int] = counts if counts is not None else {}
-        self.unique = unique
-
-    def absorb(
-        self, amount: float, timestamp: int, currency: str, destination: str
-    ) -> str:
-        key = fingerprint_key(
-            self.feature_list, amount, timestamp, currency, destination
-        )
-        count = self.counts.get(key, 0) + 1
-        self.counts[key] = count
-        if count == 1:
-            self.unique += 1
-        elif count == 2:
-            self.unique -= 1
-        return key
-
-    def information_gain(self, total: int) -> float:
-        """Percentage of payments with a unique fingerprint (Fig. 3)."""
-        return 100.0 * self.unique / total if total else 0.0
-
-    def payload(self) -> dict:
-        return {
-            "label": self.feature_list.label(),
-            "counts": self.counts,
-            "unique": self.unique,
-        }
-
-    @classmethod
-    def from_payload(
-        cls, feature_list: FeatureList, payload: dict
-    ) -> "OnlineFingerprintIndex":
-        return cls(
-            feature_list,
-            counts={str(k): int(v) for k, v in payload["counts"].items()},
-            unique=int(payload["unique"]),
-        )
+STATE_VERSION = 2
 
 
 class ForkWatch:
@@ -289,7 +161,10 @@ class OnlineState:
         fork_watch: Optional[ForkWatch] = None,
     ):
         self.feature_lists = tuple(feature_lists)
-        self.indexes = [OnlineFingerprintIndex(fl) for fl in self.feature_lists]
+        self.indexes = [FingerprintIndex(fl) for fl in self.feature_lists]
+        #: (amount, timestamp, currency, destination) of delivered payments
+        #: not yet folded into ``indexes``; every read folds them first.
+        self._pending: List[Tuple[float, int, str, str]] = []
         self.fork_watch = fork_watch if fork_watch is not None else ForkWatch()
         #: Highest event sequence folded in (absorbed *or* quarantined).
         self.applied_seq = -1
@@ -331,10 +206,24 @@ class OnlineState:
             # The fingerprint indexes mirror the batch dataset, which is
             # delivered-payments-only — failed payments never reached the
             # public ledger the paper's observer reads.
-            amount = float(body["a"])
-            timestamp = int(body["t"])
-            for index in self.indexes:
-                index.absorb(amount, timestamp, body["c"], body["d"])
+            self._pending.append(
+                (float(body["a"]), int(body["t"]), body["c"], body["d"])
+            )
+
+    def _fold_pending(self) -> None:
+        """Fold the buffered payments into every index as one chunk."""
+        if not self._pending:
+            return
+        amounts, timestamps, currencies, destinations = zip(*self._pending)
+        chunk = PaymentChunk(
+            amounts=np.array(amounts, dtype=np.float64),
+            timestamps=np.array(timestamps, dtype=np.int64),
+            currencies=currencies,
+            destinations=destinations,
+        )
+        for index in self.indexes:
+            index.absorb(chunk)
+        self._pending = []
 
     def _absorb_validation(self, body: dict) -> None:
         self.validations += 1
@@ -355,18 +244,17 @@ class OnlineState:
 
     def figure3_rows(self) -> List[Tuple[str, int, float]]:
         """(label, identified, IG%) per feature list, in Fig. 3 order."""
+        self._fold_pending()
         delivered = (
             self.delivery["cross_currency"][1]
             + self.delivery["single_currency"][1]
         )
-        return [
-            (
-                index.feature_list.label(),
-                index.unique,
-                index.information_gain(delivered),
-            )
-            for index in self.indexes
-        ]
+        rows = []
+        for index in self.indexes:
+            unique = index.unique
+            gain = 100.0 * unique / delivered if delivered else 0.0
+            rows.append((index.feature_list.label(), unique, gain))
+        return rows
 
     def delivery_rows(self) -> List[Tuple[str, int, int]]:
         """(category, submitted, delivered) in a stable order + total."""
@@ -381,6 +269,7 @@ class OnlineState:
     # Serialization -----------------------------------------------------------
 
     def payload(self) -> dict:
+        self._fold_pending()
         return {
             "state_version": STATE_VERSION,
             "applied_seq": self.applied_seq,
@@ -422,7 +311,7 @@ class OnlineState:
                     f"snapshot feature list {index} is {entry.get('label')!r},"
                     f" expected {feature_list.label()!r}"
                 )
-            state.indexes[index] = OnlineFingerprintIndex.from_payload(
+            state.indexes[index] = FingerprintIndex.from_payload(
                 feature_list, entry
             )
         state.applied_seq = int(payload["applied_seq"])

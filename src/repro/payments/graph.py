@@ -13,15 +13,14 @@ per-currency adjacency index (:meth:`LedgerState.currency_lines`) and
 memoized per node against the ledger's per-(account, currency) trust
 versions.  A BFS that expands the same hub hundreds of times per payment —
 and a payment plan that runs several BFS passes — recomputes each node's
-edges at most once per mutation of its incident lines.  Set
-``REPRO_DISABLE_GRAPH_INDEX=1`` (or ``USE_INDEX = False``) to fall back to
-the reference full-scan implementation; both produce identical edges in
-identical order, which the equivalence suite enforces.
+edges at most once per mutation of its incident lines.  The reference
+full-scan implementation (:meth:`TrustGraph._successors_scan`) stays as
+the specification: the equivalence suite checks that both produce
+identical edges in identical order.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Set, Tuple
 
@@ -31,11 +30,6 @@ from repro.ledger.state import LedgerState
 
 #: Capacities below this many currency units are treated as dry.
 DUST = 1e-9
-
-#: Serve successors from the incremental index (the reference scan remains
-#: available for equivalence testing and as documentation of the semantics).
-USE_INDEX = os.environ.get("REPRO_DISABLE_GRAPH_INDEX", "") in ("", "0")
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -69,8 +63,6 @@ class TrustGraph:
 
     def successors(self, payer: AccountID) -> Iterator[Edge]:
         """All accounts ``payer`` can push value to, with capacities."""
-        if not USE_INDEX:
-            return self._successors_scan(payer)
         return (
             Edge(payer, payee, capacity)
             for payee, capacity in self.successor_pairs(payer)
@@ -87,11 +79,6 @@ class TrustGraph:
         order is identical to the reference scan's: ins lines first, then
         settle-only outs lines, each in line-creation order.
         """
-        if not USE_INDEX:
-            return [
-                (edge.payee, edge.capacity)
-                for edge in self._successors_scan(payer)
-            ]
         ins, outs = self._edge_lines(payer)
         pairs: List[Tuple[AccountID, float]] = []
         if outs:

@@ -397,14 +397,23 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = 0,
 ):
-    """A threading socket server bound to a Unix socket or TCP port."""
+    """A threading socket server bound to a Unix socket or TCP port.
+
+    A listener that cannot be bound (missing directory, port in use, no
+    permission) raises :class:`AnalysisError` naming the address.
+    """
     if socket_path:
         if not hasattr(socketserver, "UnixStreamServer"):
             raise AnalysisError("unix sockets are unavailable on this platform")
         _reclaim_socket(socket_path, app)
-        server = _ThreadingUnixServer(socket_path, _Handler)
+        address, server_class = socket_path, _ThreadingUnixServer
     else:
-        server = _ThreadingTCPServer((host, port), _Handler)
+        address, server_class = (host, port), _ThreadingTCPServer
+    try:
+        server = server_class(address, _Handler)
+    except OSError as exc:
+        where = socket_path or f"{host}:{port}"
+        raise AnalysisError(f"cannot bind {where}: {exc.strerror or exc}") from None
     server.app = app
     return server
 

@@ -307,6 +307,9 @@ class TestValidatePayload:
         ({"t": "not-a-number"}, "schema:type"),
         ({"via": "rabc"}, "schema:via"),
         ({"s": 5}, "schema:address"),
+        ({"a": float("inf")}, "schema:amount"),
+        ({"t": 2**63}, "schema:timestamp"),
+        ({"h": 1e400}, "schema:type"),
     ])
     def test_rejects_mutations(self, history, mutation, reason):
         payload = record_to_json(history.records[0])

@@ -8,9 +8,10 @@ from repro.analysis.dataset import TransactionDataset
 from repro.core.attack import Observation, SideChannelAttack
 from repro.core.deanonymizer import Deanonymizer
 from repro.core.fingerprint import (
-    build_fingerprints,
-    unique_fingerprint_mask,
-    unique_sender_mask,
+    FingerprintIndex,
+    PaymentChunk,
+    chunk_keys,
+    round_amount,
 )
 from repro.core.history import net_worth_eur, profile_account
 from repro.core.resolution import (
@@ -20,7 +21,6 @@ from repro.core.resolution import (
     TimeResolution,
     coarsen_timestamps,
     granularity_exponent,
-    round_amount,
 )
 from repro.errors import AnalysisError
 from repro.ledger.currency import BTC, EUR, USD, XRP
@@ -82,27 +82,45 @@ class TestFingerprints:
             AmountResolution.NONE, TimeResolution.NONE, False, False
         )
         with pytest.raises(AnalysisError):
-            build_fingerprints(dataset, empty)
+            chunk_keys(empty, PaymentChunk.of_dataset(dataset))
 
     def test_column_counts(self, dataset):
-        full = build_fingerprints(dataset, FeatureList())
-        assert full.columns.shape == (len(dataset), 4)
-        partial = build_fingerprints(
-            dataset, FeatureList(AmountResolution.NONE, TimeResolution.SECONDS, True, False)
+        chunk = PaymentChunk.of_dataset(dataset)
+        full = chunk_keys(FeatureList(), chunk)
+        assert len(full) == len(dataset)
+        assert {len(key) for key in full} == {4}
+        partial = chunk_keys(
+            FeatureList(AmountResolution.NONE, TimeResolution.SECONDS, True, False),
+            chunk,
         )
-        assert partial.columns.shape == (len(dataset), 2)
+        assert {len(key) for key in partial} == {2}
+        # Currency-blind amounts key on (mantissa, exponent).
+        blind = chunk_keys(
+            FeatureList(AmountResolution.MAX, TimeResolution.NONE, False, False),
+            chunk,
+        )
+        assert {len(key) for key in blind} == {2}
 
     def test_unique_mask_consistency(self, dataset):
-        fingerprints = build_fingerprints(dataset, FeatureList())
-        strict = unique_fingerprint_mask(fingerprints)
-        sender = unique_sender_mask(fingerprints, dataset.sender_ids)
+        deanonymizer = Deanonymizer(dataset)
+        strict = deanonymizer.identified_mask(FeatureList())
+        sender = deanonymizer.identified_mask(FeatureList(), strict=False)
         # Strict uniqueness implies sender identification.
         assert (strict <= sender).all()
+        assert int(strict.sum()) == (
+            deanonymizer.information_gain(FeatureList()).identified
+        )
 
     def test_identical_rows_share_group(self, dataset):
-        fingerprints = build_fingerprints(dataset, FeatureList())
-        groups = fingerprints.group_inverse()
-        assert len(groups) == len(dataset)
+        # Keys are values, not ranks: the same payments absorbed as a
+        # second chunk produce the same keys and pair up with the first.
+        chunk = PaymentChunk.of_dataset(dataset)
+        index = FingerprintIndex(FeatureList())
+        first = index.absorb(chunk)
+        assert len(first) == len(dataset)
+        assert index.absorb(chunk) == first
+        assert index.unique == 0
+        assert sum(index.counts.values()) == 2 * len(dataset)
 
 
 class TestInformationGain:

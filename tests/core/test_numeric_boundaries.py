@@ -4,32 +4,65 @@ Amount coarsening used ``np.round`` (half-to-even), so amounts exactly on
 a bucket edge split inconsistently between buckets: 0.5 and 1.5 both
 rounded to even neighbours (0 and 2) while 2.5 joined 2.  These tests pin
 the explicit half-up rule on every path that buckets an amount — the
-scalar API, the vectorized fingerprint path, the currency-blind rescale,
-and the attacker-query observation — and the explicit rejection of
-pre-epoch timestamps.  They fail on the pre-fix code.
+scalar API, the Fig. 3 fold, the currency-blind amount key, live ingest
+and the attacker-query observation, which all run the one kernel in
+:mod:`repro.core.fingerprint` — and the explicit rejection of pre-epoch
+timestamps.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from repro.analysis.archive import record_to_json
 from repro.analysis.dataset import TransactionDataset
 from repro.core.deanonymizer import Deanonymizer
+from repro.core.fingerprint import (
+    PaymentChunk,
+    chunk_keys,
+    round_amount,
+    table1_buckets,
+)
 from repro.core.resolution import (
+    FIGURE3_FEATURE_LISTS,
     AmountResolution,
     FeatureList,
     TimeResolution,
     coarsen_timestamps,
     granularity_exponent,
     half_up,
-    round_amount,
-    round_amounts_vector,
 )
 from repro.errors import AnalysisError
-from repro.ledger.currency import BTC, EUR, USD, XRP
+from repro.ledger.accounts import account_from_name
+from repro.ledger.currency import BTC, EUR, USD, XRP, Currency
+from repro.online.events import payment_event
+from repro.online.state import OnlineState
 from repro.synthetic.config import EconomyConfig
 from repro.synthetic.generator import generate_history
+from repro.synthetic.records import TransactionRecord
+
+
+def _payment(index: int, amount: float, currency: str) -> TransactionRecord:
+    return TransactionRecord(
+        index=index,
+        timestamp=1_000 + index,
+        sender=account_from_name(f"boundary-sender-{index}"),
+        destination=account_from_name("boundary-destination"),
+        currency=currency,
+        amount=amount,
+        is_xrp_direct=currency == "XRP",
+        cross_currency=False,
+        intermediate_hops=0,
+        parallel_paths=1,
+        intermediaries=(),
+        delivered=True,
+        kind="fiat",
+    )
 
 
 class TestHalfUpRounding:
@@ -52,7 +85,7 @@ class TestHalfUpRounding:
     def test_vector_path_matches_scalar_on_boundaries(self):
         amounts = np.array([5.0, 15.0, 25.0, 35.0, 14.9])
         exponents = np.full(5, granularity_exponent(EUR, AmountResolution.MAX))
-        buckets = round_amounts_vector(amounts, exponents, AmountResolution.MAX)
+        buckets = table1_buckets(amounts, exponents)
         assert buckets.tolist() == [1, 2, 3, 4, 1]
         for value, bucket in zip(amounts, buckets):
             assert round_amount(value, EUR, AmountResolution.MAX) == pytest.approx(
@@ -68,6 +101,40 @@ class TestHalfUpRounding:
         # XRP max granularity is 10^5: 50_000 is on the edge, 150_000 too.
         assert round_amount(50_000.0, XRP, AmountResolution.MAX) == 100_000.0
         assert round_amount(150_000.0, XRP, AmountResolution.MAX) == 200_000.0
+        # 150_000 * 1e-5 is 1.4999999999999998 in float64 (1e-5 is not
+        # exact), 150_000 / 1e5 is exactly 1.5: the Fig. 3 fold, the live
+        # state and the attacker query must also see the edge and put the
+        # payment in bucket 2.
+        payment = _payment(0, 150_000.0, "XRP")
+        dataset = TransactionDataset.from_records([payment])
+        with_currency = FeatureList(
+            AmountResolution.MAX, TimeResolution.NONE, True, False
+        )
+        blind = FeatureList(AmountResolution.MAX, TimeResolution.NONE, False, False)
+        chunk = PaymentChunk.of_dataset(dataset)
+        assert chunk_keys(with_currency, chunk) == [(2, "XRP")]
+        assert chunk_keys(blind, chunk) == [(2, 5)]
+
+        state = OnlineState()
+        state.absorb(payment_event(0, record_to_json(payment)))
+        state.figure3_rows()  # a read folds the buffered payment
+        assert FIGURE3_FEATURE_LISTS[7].label() == "<Am; -; C; D>"
+        assert dict(state.indexes[7].counts) == {
+            (2, "XRP", payment.destination.address): 1
+        }
+        assert dict(state.indexes[8].counts) == {(2, 5): 1}  # <Am; -; -; ->
+
+        deanon = Deanonymizer(dataset)
+        for amount, expected in ((150_000.0, [0]), (160_000.0, [0]),
+                                 (149_999.0, [])):
+            rows = deanon.candidate_rows(
+                FeatureList(),
+                amount=amount,
+                currency="XRP",
+                timestamp=payment.timestamp,
+                destination=payment.destination,
+            )
+            assert rows.tolist() == expected, amount
 
 
 class TestTimestampContract:
@@ -131,3 +198,63 @@ class TestQueryPathConsistency:
                 ],
             )
             assert row in rows
+
+    def test_query_matches_fingerprint_group_on_every_figure3_list(
+        self, small_dataset
+    ):
+        # Reference grouping, written out independently of the kernel:
+        # the Table I bucket per the documented float rule, compared as
+        # an exact absolute value when the currency is not a feature.
+        # Every payment, queried at its own features, must get back
+        # exactly the rows sharing its fingerprint — and the singleton
+        # groups are Fig. 3's identified count.
+        data = small_dataset
+        deanon = Deanonymizer(data)
+        gains = deanon.figure3()
+        for feature_list, gain in zip(FIGURE3_FEATURE_LISTS, gains):
+            groups = defaultdict(list)
+            observations = []
+            for row in range(len(data)):
+                amount = float(data.amounts[row])
+                code = data.currency_code(int(data.currency_ids[row]))
+                timestamp = int(data.timestamps[row])
+                destination = data.accounts[int(data.destination_ids[row])]
+                key = []
+                if feature_list.amount is not AmountResolution.NONE:
+                    exponent = granularity_exponent(
+                        Currency(code), feature_list.amount
+                    )
+                    if exponent > 0:
+                        bucket = math.floor(amount / 10.0 ** exponent + 0.5)
+                    else:
+                        bucket = math.floor(amount * 10.0 ** -exponent + 0.5)
+                    key.append(
+                        bucket if feature_list.use_currency
+                        else Fraction(bucket) * Fraction(10) ** exponent
+                    )
+                if feature_list.time is not TimeResolution.NONE:
+                    seconds = feature_list.time.bucket_seconds()
+                    key.append(timestamp // seconds)
+                if feature_list.use_currency:
+                    key.append(code)
+                if feature_list.use_destination:
+                    key.append(destination)
+                groups[tuple(key)].append(row)
+                observations.append(
+                    (tuple(key), amount, code, timestamp, destination)
+                )
+            mismatched = 0
+            for row, (key, amount, code, timestamp, destination) in enumerate(
+                observations
+            ):
+                rows = deanon.candidate_rows(
+                    feature_list,
+                    amount=amount,
+                    currency=code,
+                    timestamp=timestamp,
+                    destination=destination,
+                )
+                mismatched += rows.tolist() != groups[key]
+            assert mismatched == 0, feature_list.label()
+            singletons = sum(len(rows) == 1 for rows in groups.values())
+            assert gain.identified == singletons, feature_list.label()

@@ -27,8 +27,7 @@ class TestBatchEquivalence:
     """The online indexes must reproduce Fig. 3 *exactly* — identified
     counts and percentages — against the batch Deanonymizer over the
     same payments, across all ten feature lists (including the
-    currency-blind ones, whose batch bucketing rescales to a
-    dataset-wide finest exponent the online path cannot know)."""
+    currency-blind ones)."""
 
     def test_figure3_matches_batch(self, history):
         records = history.records[:1500]
@@ -189,3 +188,19 @@ class TestSerialization:
         payload["figure3"][0]["label"] = "<bogus>"
         with pytest.raises(IngestError):
             OnlineState.from_payload(payload)
+
+
+class TestDeferredFold:
+    """Payments fold into the indexes at the next read, not at absorb."""
+
+    def test_reads_between_events_do_not_change_the_state(self, history):
+        records = history.records[:400]
+        read_often, read_once = OnlineState(), OnlineState()
+        for seq, record in enumerate(records):
+            event = payment_event(seq, record_to_json(record))
+            read_often.absorb(event)
+            read_once.absorb(event)
+            if seq % 37 == 0:
+                read_often.digest()
+        assert read_often.digest() == read_once.digest()
+        assert read_often.figure3_rows() == read_once.figure3_rows()

@@ -18,7 +18,6 @@ from repro.ledger.accounts import account_from_name
 from repro.ledger.amounts import Amount
 from repro.ledger.currency import EUR, USD
 from repro.ledger.state import LedgerState
-from repro.payments import graph as graph_module
 from repro.payments.graph import TrustGraph
 from repro.synthetic.config import EconomyConfig
 from repro.synthetic.generator import LedgerHistoryGenerator
@@ -152,8 +151,18 @@ class TestGeneratedEconomyEquivalence:
                 for record in history.records
             ]
 
-        monkeypatch.setattr(graph_module, "USE_INDEX", True)
         with_index = run()
-        monkeypatch.setattr(graph_module, "USE_INDEX", False)
+        # Route every successor query through the reference scan.
+        monkeypatch.setattr(
+            TrustGraph, "successors", TrustGraph._successors_scan
+        )
+        monkeypatch.setattr(
+            TrustGraph,
+            "successor_pairs",
+            lambda graph, payer: [
+                (edge.payee, edge.capacity)
+                for edge in graph._successors_scan(payer)
+            ],
+        )
         without_index = run()
         assert with_index == without_index

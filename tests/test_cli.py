@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 class TestParser:
@@ -136,3 +140,38 @@ class TestRemainingCommands:
         assert main(["fig2", "--scale", "8000"]) == 0
         out = capsys.readouterr().out
         assert "December 2015" in out and "November 2016" in out
+
+
+class TestOneLineErrors:
+    """Bad input to any command is one stderr line and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--payments", "0"],
+        ["attack", "--payments", "0"],
+        ["defenses", "--payments", "-5"],
+        ["rewards", "--scale", "0"],
+    ])
+    def test_non_artifact_commands_check_the_request(
+        self, argv, tmp_path, capsys
+    ):
+        out = str(tmp_path / "never-written.jsonl.gz")
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{argv[0]}: ")
+        assert ("payments" if "--payments" in argv else "scale") in err[0]
+        assert not os.path.exists(out)
+
+    def test_serve_socket_in_missing_directory(self, tmp_path):
+        socket_path = tmp_path / "missing" / "repro.sock"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve",
+             "--socket", str(socket_path),
+             "--cache-dir", str(tmp_path / "cache")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert done.returncode == 2
+        err = done.stderr.strip().splitlines()
+        assert len(err) == 1, done.stderr
+        assert err[0].startswith("serve: cannot bind ")
+        assert str(socket_path) in err[0]

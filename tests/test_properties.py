@@ -10,12 +10,12 @@ from repro.ledger.crypto import KeyPair, verify
 from repro.ledger.currency import EUR, USD, Currency, strength_of
 from repro.ledger.state import LedgerState
 from repro.ledger.accounts import account_from_name
+from repro.core.fingerprint import round_amount
 from repro.core.resolution import (
     AmountResolution,
     TimeResolution,
     coarsen_timestamps,
     granularity_exponent,
-    round_amount,
 )
 from repro.payments.execution import Executor
 
