@@ -16,19 +16,20 @@ cascade scenarios (:mod:`repro.chaos.cascade`) track round by round:
 * **settlability** — the fraction of sampled account pairs that can still
   settle a target amount through the live trust graph.
 
-The settlability probe is deliberately *monotone under intermediary
-removal*: a pair counts as settlable iff the exact max flow between the
-endpoints (reverse residual edges, no hop bound) reaches the target
-amount.  Ripple's bounded greedy planner (:func:`plan_payment`) is used
-as a fast certificate — a complete plan is a feasible flow — but a greedy
-miss falls back to the exact computation, so banning additional relayers
-can only shrink the usable graph and therefore never *increases* the
-settlable fraction (the property the hypothesis suite enforces).
+The settlability probe is *monotone under intermediary removal*: a pair
+counts as settlable iff the exact max flow between the endpoints
+(:func:`repro.payments.liquidity.max_flow`: reverse residual arcs, no hop
+bound) reaches the target amount.  Ripple's bounded greedy planner
+(:func:`plan_payment`) is tried first as a certificate — a complete plan
+is a feasible flow — and only a greedy miss runs the max flow.  Banning
+more relayers can only remove arcs, so it never *increases* the settlable
+fraction (the property the hypothesis suite enforces).  All the pairs of
+one probe in one currency share one
+:class:`~repro.payments.liquidity.CreditNetwork`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -37,8 +38,8 @@ import numpy as np
 from repro.ledger.accounts import AccountID
 from repro.ledger.currency import Currency, eur_value
 from repro.ledger.state import LedgerState
-from repro.payments.engine import FilteredTrustGraph
-from repro.payments.graph import DUST, TrustGraph
+from repro.obs.metrics import METRICS
+from repro.payments.liquidity import CreditNetwork, max_flow
 from repro.payments.pathfinding import plan_payment
 
 #: Utilization at or above this fraction marks a trust line over-extended.
@@ -233,97 +234,21 @@ def utilization_profile(
 # Settlability ----------------------------------------------------------------
 
 
-def _exact_max_flow(
-    graph: TrustGraph,
+def _settles(
+    network: CreditNetwork,
     source: AccountID,
     target: AccountID,
     amount: float,
-    max_augmentations: int = 10_000,
-) -> float:
-    """Exact max flow with reverse residual edges, stopped at ``amount``.
-
-    Unlike the bounded greedy planner (and :func:`repro.payments.liquidity
-    .max_flow`, which augments along hop-bounded paths without residual
-    back-edges), this is true Edmonds–Karp over the relay-filtered credit
-    graph: banning extra relayers can only remove edges, so the value is
-    monotone non-increasing under intermediary removal — the property the
-    settlability probe is built on.
-    """
-    # Materialize the usable credit graph once: outgoing edges exist only
-    # for accounts allowed to *originate* a hop (the source, or any account
-    # that relays).  The graph is small (hundreds of accounts) and the
-    # probe never mutates state, so a full pass is cheap.
-    capacity: Dict[Tuple[AccountID, AccountID], float] = {}
-    neighbours: Dict[AccountID, List[AccountID]] = {}
-    for account in graph.state.accounts:
-        if account != source and not graph.can_relay(account):
-            continue
-        for payee, cap in graph.successor_pairs(account):
-            if cap <= DUST or (account, payee) in capacity:
-                continue
-            capacity[(account, payee)] = cap
-            neighbours.setdefault(account, []).append(payee)
-            # The reverse residual arc becomes usable once flow is pushed.
-            reverse = neighbours.setdefault(payee, [])
-            if account not in reverse:
-                reverse.append(account)
-
-    flow: Dict[Tuple[AccountID, AccountID], float] = {}
-    total = 0.0
-    for _ in range(max_augmentations):
-        if total >= amount * (1.0 - 1e-9):
-            break
-        # BFS over residual capacities (forward remainder + reverse flow).
-        parents: Dict[AccountID, AccountID] = {source: source}
-        queue = deque([source])
-        found = False
-        while queue and not found:
-            node = queue.popleft()
-            for nxt in neighbours.get(node, ()):
-                if nxt in parents:
-                    continue
-                residual = (
-                    capacity.get((node, nxt), 0.0)
-                    - flow.get((node, nxt), 0.0)
-                    + flow.get((nxt, node), 0.0)
-                )
-                if residual <= DUST:
-                    continue
-                parents[nxt] = node
-                if nxt == target:
-                    found = True
-                    break
-                queue.append(nxt)
-        if not found:
-            break
-        # Bottleneck along the parent chain, then apply it.
-        path = [target]
-        while path[-1] != source:
-            path.append(parents[path[-1]])
-        path.reverse()
-        bottleneck = float("inf")
-        for a, b in zip(path, path[1:]):
-            residual = (
-                capacity.get((a, b), 0.0)
-                - flow.get((a, b), 0.0)
-                + flow.get((b, a), 0.0)
-            )
-            bottleneck = min(bottleneck, residual)
-        if bottleneck <= DUST:
-            break
-        bottleneck = min(bottleneck, amount - total)
-        for a, b in zip(path, path[1:]):
-            back = flow.get((b, a), 0.0)
-            if back > DUST:  # cancel reverse flow first
-                cancelled = min(back, bottleneck)
-                flow[(b, a)] = back - cancelled
-                remainder = bottleneck - cancelled
-                if remainder > 0.0:
-                    flow[(a, b)] = flow.get((a, b), 0.0) + remainder
-            else:
-                flow[(a, b)] = flow.get((a, b), 0.0) + bottleneck
-        total += bottleneck
-    return total
+) -> bool:
+    """Greedy certificate first, the exact max flow on a miss."""
+    plan = plan_payment(network.view(source, target), source, target, amount)
+    if plan.is_complete_for(amount):
+        return True
+    if METRICS.enabled:
+        METRICS.count("health.maxflow_fallbacks")
+    return max_flow(network, source, target, limit=amount) >= amount * (
+        1.0 - 1e-6
+    )
 
 
 def pair_settles(
@@ -342,15 +267,7 @@ def pair_settles(
     it falls back to the exact max flow — making the answer equivalent to
     ``max_flow >= amount`` and therefore monotone under relayer removal.
     """
-    graph: TrustGraph = FilteredTrustGraph(
-        state, currency, banned or set(), source, target
-    )
-    plan = plan_payment(graph, source, target, amount)
-    if plan.is_complete_for(amount):
-        return True
-    return _exact_max_flow(graph, source, target, amount) >= amount * (
-        1.0 - 1e-6
-    )
+    return _settles(CreditNetwork(state, currency, banned), source, target, amount)
 
 
 def sample_pairs(
@@ -417,11 +334,18 @@ def settlability_outcomes(
     seed: int = 0,
     banned: Optional[Set[AccountID]] = None,
 ) -> List[bool]:
-    """Per-pair settlability outcomes, in sample order."""
-    return [
-        pair_settles(state, source, target, currency, amount, banned=banned)
-        for source, target, currency in sample_pairs(state, wallets, pairs, seed)
-    ]
+    """Per-pair settlability outcomes, in sample order.
+
+    Pairs probed in the same currency share one :class:`CreditNetwork`.
+    """
+    networks: Dict[Currency, CreditNetwork] = {}
+    outcomes: List[bool] = []
+    for source, target, currency in sample_pairs(state, wallets, pairs, seed):
+        network = networks.get(currency)
+        if network is None:
+            network = networks[currency] = CreditNetwork(state, currency, banned)
+        outcomes.append(_settles(network, source, target, amount))
+    return outcomes
 
 
 def health_report(

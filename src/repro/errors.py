@@ -89,6 +89,10 @@ class AnalysisError(ReproError):
     """Base class for analysis/dataset failures."""
 
 
+class BucketOverflowError(AnalysisError):
+    """A Table I amount bucket does not fit in a signed 64-bit integer."""
+
+
 class IngestError(AnalysisError):
     """An archive line failed parsing or schema validation on ingest.
 

@@ -64,16 +64,6 @@ class TrustLine:
         self._available_float = self.available_credit().to_float()
 
     @property
-    def balance_float(self) -> float:
-        """``balance.to_float()``, cached across mutations."""
-        return self._balance_float
-
-    @property
-    def available_credit_float(self) -> float:
-        """``available_credit().to_float()``, cached across mutations."""
-        return self._available_float
-
-    @property
     def key(self) -> Tuple[AccountID, AccountID, str]:
         """Dictionary key identifying this line."""
         return (self.truster, self.trustee, self.currency.code)

@@ -40,7 +40,7 @@ from repro.payments.bridging import BridgePlan, plan_bridge, plan_same_currency_
 from repro.obs.metrics import METRICS
 from repro.obs.trace import NULL_SPAN as _NULL_SPAN, TRACER
 from repro.payments.execution import ExecutionOutcome, Executor
-from repro.payments.graph import Edge, TrustGraph
+from repro.payments.graph import TrustGraph
 from repro.payments.pathfinding import (
     DEFAULT_MAX_INTERMEDIATE_HOPS,
     DEFAULT_MAX_PARALLEL_PATHS,
@@ -77,18 +77,10 @@ class FilteredTrustGraph(TrustGraph):
         self._target = target
         self._base = base if base is not None else TrustGraph(state, currency)
 
-    def successors(self, payer: AccountID):
-        if payer in self._banned and payer not in (self._source, self._target):
-            return
-        for edge in self._base.successors(payer):
-            if edge.payee in self._banned and edge.payee != self._target:
-                continue
-            yield edge
-
     def successor_pairs(self, payer: AccountID):
-        # The path finder's hot interface must apply the same ban filter as
-        # successors(); reading through the base graph keeps its line cache
-        # shared across the consecutive filtered views of a replay.
+        # The inherited successors() reads through this filter; reading
+        # through the base graph keeps its line cache shared across the
+        # consecutive filtered views of a replay.
         if payer in self._banned and payer not in (self._source, self._target):
             return []
         banned = self._banned

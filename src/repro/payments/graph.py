@@ -9,11 +9,11 @@ recorded on the line where Y is the truster) with any debt Y already owes X
 traverse, and what the market-maker-removal study of Table II perturbs.
 
 Performance: successor lists are served from the ledger's incremental
-per-currency adjacency index (:meth:`LedgerState.currency_lines`) and
-memoized per node against the ledger's per-(account, currency) trust
-versions.  A BFS that expands the same hub hundreds of times per payment —
-and a payment plan that runs several BFS passes — recomputes each node's
-edges at most once per mutation of its incident lines.  The reference
+per-currency adjacency index (:meth:`LedgerState.currency_lines`); each
+node's incident-line topology is memoized until a new line appears, and
+capacities are read live from the lines' float caches.  A BFS that expands
+the same hub hundreds of times per payment — and a payment plan that runs
+several BFS passes — resolves each node's lines once.  The reference
 full-scan implementation (:meth:`TrustGraph._successors_scan`) stays as
 the specification: the equivalence suite checks that both produce
 identical edges in identical order.
@@ -48,7 +48,7 @@ class TrustGraph:
     payments see each other's balance changes — essential for the Table II
     replay, where earlier payments drain liquidity for later ones.  The
     per-node successor cache is transparent: entries are revalidated against
-    the ledger's trust versions on every query.
+    the node's incident-line counts on every query.
     """
 
     def __init__(self, state: LedgerState, currency: Currency):
@@ -168,9 +168,6 @@ class TrustGraph:
         root = self.state.accounts.get(account)
         return root is None or root.allows_rippling
 
-    def degree_out(self, account: AccountID) -> int:
-        return sum(1 for _ in self.successors(account))
-
     def reachable_within(self, source: AccountID, max_hops: int) -> Set[AccountID]:
         """Accounts reachable from ``source`` in at most ``max_hops`` hops."""
         frontier = {source}
@@ -197,14 +194,3 @@ def path_bottleneck(graph: TrustGraph, path: List[AccountID]) -> float:
         graph.capacity(path[i], path[i + 1]) for i in range(len(path) - 1)
     )
 
-
-def edges_of(path: List[AccountID]) -> List[Tuple[AccountID, AccountID]]:
-    """Consecutive (payer, payee) pairs of a node path."""
-    return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-
-def adjacency_snapshot(
-    graph: TrustGraph, nodes: List[AccountID]
-) -> Dict[AccountID, List[Edge]]:
-    """Materialize successors for ``nodes`` (used by analysis, not routing)."""
-    return {node: list(graph.successors(node)) for node in nodes}
