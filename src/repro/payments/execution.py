@@ -61,7 +61,6 @@ class Executor:
 
     def fill(self, offer: Offer, gets: Amount) -> Amount:
         pays = offer.fill(gets)
-        self.state.note_offer_fill()
         self._journal.append(_FillOp(offer, pays, gets))
         return pays
 
@@ -89,7 +88,6 @@ class Executor:
             elif isinstance(op, _FillOp):
                 op.offer.taker_pays = op.offer.taker_pays + op.pays
                 op.offer.taker_gets = op.offer.taker_gets + op.gets
-                self.state.note_offer_fill()
                 # The lazy book pruning may have dropped a fully consumed
                 # offer; restore it if so.
                 if op.offer.offer_id() not in self.state.offers:

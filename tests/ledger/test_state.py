@@ -207,7 +207,6 @@ def ledger_image(state):
             (code, line_keys(index.ins), line_keys(index.outs))
             for code, index in state._currency_lines.items()
         ],
-        "trust_versions": list(state._trust_versions.items()),
         "scalars": [
             (spec.name, getattr(state, spec.name))
             for spec in dataclasses.fields(LedgerState)
@@ -342,7 +341,6 @@ class TestStructuralCopy:
             other = twin.offers[key]
             assert other.taker_pays is offer.taker_pays
             assert other.taker_gets is offer.taker_gets
-        assert next(iter(twin._trust_versions)) is next(iter(state._trust_versions))
 
 
 def _random_economy(setup):
