@@ -21,8 +21,7 @@ import numpy as np
 
 from repro.errors import AnalysisError
 from repro.ledger.accounts import AccountID
-from repro.obs.metrics import METRICS
-from repro.obs.trace import TRACER
+from repro.obs.trace import span
 from repro.synthetic.records import TransactionRecord
 
 
@@ -71,7 +70,7 @@ class TransactionDataset:
         records: Sequence[TransactionRecord],
         delivered_only: bool = True,
     ) -> "TransactionDataset":
-        with METRICS.timer("etl.from_records"), TRACER.span("etl.dataset"):
+        with span("etl.dataset"):
             return cls._from_records(records, delivered_only)
 
     @classmethod

@@ -28,8 +28,7 @@ from repro.ledger.currency import XRP
 from repro.ledger.state import LedgerState
 from repro.ledger.transactions import Payment
 from repro.node import RetryPolicy, RippledNode
-from repro.obs.metrics import METRICS
-from repro.obs.trace import TRACER
+from repro.obs.trace import span
 from repro.stream.collector import StreamCollector
 from repro.stream.server import StreamServer
 
@@ -101,10 +100,14 @@ class DrillReport:
     payments_submitted: int = 0
     payments_applied: int = 0
     stream_relayed: int = 0
+    stream_buffered: int = 0
     stream_replayed: int = 0
     stream_reconnects: int = 0
     duplicates_dropped: int = 0
     health: List[ValidatorHealth] = field(default_factory=list)
+    #: The faults the injector injected.  The system's response (retries,
+    #: degraded and failed closes, replays, dropped duplicates) is in the
+    #: fields above, as the node, server and collector counted it.
     counters: FaultCounters = field(default_factory=FaultCounters)
 
     @property
@@ -168,7 +171,7 @@ def run_drill(
         chaos=injector,
     )
     server = StreamServer(seed=seed + 1, chaos=injector)
-    collector = StreamCollector(dedupe=True, chaos=injector)
+    collector = StreamCollector(dedupe=True)
     server.subscribe(collector)
     server.attach(node.consensus)
     for observer in observers:
@@ -176,8 +179,7 @@ def run_drill(
 
     report = DrillReport(plan=plan, seed=seed, rounds=rounds)
     sequences: Dict[object, int] = {account: 0 for account in accounts}
-    with METRICS.timer("chaos.drill"), \
-            TRACER.span("chaos.drill", plan=plan.name, rounds=rounds):
+    with span("chaos.drill", plan=plan.name, rounds=rounds):
         for close_index in range(rounds):
             for offset in range(payments_per_close):
                 sender = accounts[(close_index + offset) % len(accounts)]
@@ -204,6 +206,7 @@ def run_drill(
     report.failed_closes = node.failed_closes
     report.round_retries = node.round_retries
     report.stream_relayed = server.relayed
+    report.stream_buffered = server.buffered
     report.stream_replayed = server.replayed
     report.stream_reconnects = server.reconnects
     report.duplicates_dropped = collector.duplicates_dropped

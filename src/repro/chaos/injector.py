@@ -2,16 +2,16 @@
 
 One injector instance is shared by every component under test — the
 consensus engine pulls per-round :class:`~repro.consensus.faults.RoundFaults`
-from it, the stream server asks it whether the collector's connection is up,
-and the node reports retries and degraded closes back to it.  All fault
-counters therefore land in one :class:`FaultCounters`, which the chaos
-report renders and which is mirrored into :data:`repro.obs.metrics.METRICS` so
-``--profile`` runs expose degradation alongside the hot-path timers.
+from it, and the stream server asks it whether the collector's connection
+is up.  The injector counts only the faults it injects, in one
+:class:`FaultCounters`; how the system responded (retries, degraded
+closes, replays, dropped duplicates) is counted once, by the node, the
+stream server and the collector that did it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Sequence
 
 from repro.consensus.faults import RoundFaults
@@ -31,13 +31,7 @@ class FaultCounters:
     byzantine_rounds: int = 0
     equivocations: int = 0
     rounds_not_validated: int = 0
-    round_retries: int = 0
-    degraded_rounds: int = 0
-    failed_closes: int = 0
     stream_disconnects: int = 0
-    stream_buffered: int = 0
-    stream_replayed: int = 0
-    duplicates_dropped: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -47,9 +41,9 @@ class ChaosInjector:
     """Binds a :class:`FaultPlan` to a running system.
 
     Implements the engine's ``ChaosHook`` duck type
-    (:meth:`faults_for_round` / :meth:`note_round`) plus the stream- and
-    node-side callbacks.  ``None`` results mean "no faults this round" and
-    guarantee the pristine code path.
+    (:meth:`faults_for_round` / :meth:`note_round`) plus the stream
+    server's :meth:`stream_disconnected`.  ``None`` results mean "no faults
+    this round" and guarantee the pristine code path.
     """
 
     def __init__(self, plan: FaultPlan, seed: int = 0):
@@ -87,7 +81,7 @@ class ChaosInjector:
             counters.equivocations += len(faults.equivocating)
         if not outcome.validated:
             counters.rounds_not_validated += 1
-        self._mirror("chaos.faulted_rounds")
+        METRICS.count("chaos.faulted_rounds")
 
     # Stream-side hook ---------------------------------------------------------
 
@@ -96,36 +90,6 @@ class ChaosInjector:
         down = self.plan.stream_disconnected(stream_time)
         if down and not self._stream_was_down:
             self.counters.stream_disconnects += 1
-            self._mirror("chaos.stream_disconnects")
+            METRICS.count("chaos.stream_disconnects")
         self._stream_was_down = down
         return down
-
-    def note_stream_buffered(self, count: int = 1) -> None:
-        self.counters.stream_buffered += count
-
-    def note_stream_replayed(self, count: int) -> None:
-        self.counters.stream_replayed += count
-        self._mirror("chaos.stream_replayed", count)
-
-    def note_duplicate_dropped(self, count: int = 1) -> None:
-        self.counters.duplicates_dropped += count
-        self._mirror("chaos.duplicates_dropped", count)
-
-    # Node-side hook -----------------------------------------------------------
-
-    def note_retry(self, count: int = 1) -> None:
-        self.counters.round_retries += count
-        self._mirror("node.round_retries", count)
-
-    def note_degraded_close(self) -> None:
-        self.counters.degraded_rounds += 1
-        self._mirror("node.degraded_rounds")
-
-    def note_failed_close(self) -> None:
-        self.counters.failed_closes += 1
-        self._mirror("node.failed_closes")
-
-    # Internals ----------------------------------------------------------------
-
-    def _mirror(self, name: str, delta: int = 1) -> None:
-        METRICS.count(name, delta)

@@ -63,7 +63,18 @@ def render_chaos_report(report: DrillReport) -> str:
         "",
         "Injected faults",
     ]
-    for name, value in report.counters.as_dict().items():
+    injected = report.counters.as_dict()
+    disconnects = injected.pop("stream_disconnects")
+    rows = list(injected.items()) + [
+        ("round_retries", report.round_retries),
+        ("degraded_rounds", report.degraded_closes),
+        ("failed_closes", report.failed_closes),
+        ("stream_disconnects", disconnects),
+        ("stream_buffered", report.stream_buffered),
+        ("stream_replayed", report.stream_replayed),
+        ("duplicates_dropped", report.duplicates_dropped),
+    ]
+    for name, value in rows:
         if value:
             lines.append(f"  {name:24s} {value:8d}")
     if isinstance(report, ScenarioReport):

@@ -303,10 +303,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     """
     import itertools
     import signal
+    from dataclasses import replace
 
     from repro.errors import IngestError
     from repro.online import IngestConfig, archive_event_source
-    from repro.online.supervisor import IngestSupervisor
+    from repro.online.supervisor import DEFAULT_RETRY, IngestSupervisor
 
     if not args.archive:
         print("ingest: --archive PATH is required", file=sys.stderr)
@@ -330,8 +331,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     supervisor = IngestSupervisor(
         config,
         source,
-        max_restarts=args.max_restarts,
         heartbeat_timeout=args.heartbeat_timeout,
+        retry=replace(DEFAULT_RETRY, max_retries=args.max_restarts),
     )
 
     def _drain(_signum, _frame):

@@ -43,16 +43,17 @@ from repro.ledger.pages import LedgerChain, LedgerPage
 from repro.ledger.state import LedgerState
 from repro.ledger.transactions import Payment, Transaction
 from repro.obs.manifest import RUN
-from repro.obs.metrics import METRICS
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry of failed consensus rounds, with backoff and jitter.
+    """Bounded retry with exponential backoff and jitter.
 
-    Backoff is expressed in *simulated* seconds: the node advances the
-    engine's close clock while it waits, so retried rounds carry realistic
-    close-time gaps (the paper reads payment timestamps off close times).
+    The node retries failed consensus rounds under it, in *simulated*
+    seconds: it advances the engine's close clock while it waits, so
+    retried rounds carry realistic close-time gaps (the paper reads
+    payment timestamps off close times).  The shard engine and the ingest
+    supervisor reuse the same budget and delay formula.
     """
 
     max_retries: int = 3
@@ -62,12 +63,17 @@ class RetryPolicy:
     #: Fractional jitter: each backoff is scaled by 1 ± jitter.
     jitter: float = 0.25
 
-    def backoff_seconds(self, attempt: int, rng: np.random.Generator) -> int:
-        """Simulated seconds to wait before retry number ``attempt + 1``."""
+    def backoff(self, attempt: int, rng: np.random.Generator) -> float:
+        """Delay before retry number ``attempt + 1``, in the caller's unit.
+
+        The node reads it as simulated seconds (rounded to a whole
+        second, at least one), the shard engine as milliseconds and the
+        ingest supervisor as real seconds.
+        """
         delay = min(self.max_backoff, self.base_backoff * self.multiplier ** attempt)
         if self.jitter:
             delay *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
-        return max(1, int(round(delay)))
+        return max(0.0, delay)
 
 
 @dataclass
@@ -126,7 +132,6 @@ class RippledNode:
         self.retry = retry if retry is not None else RetryPolicy()
         self.allow_degraded = allow_degraded
         self.degraded_quorum = degraded_quorum
-        self.chaos = chaos
         #: Backoff jitter draws come from a dedicated generator so retries
         #: never perturb the consensus engine's random stream.
         self._retry_rng = np.random.default_rng(seed ^ 0x5EED)
@@ -138,7 +143,7 @@ class RippledNode:
         #: Fully validated page hashes, i.e. the node's view of the main
         #: chain — degraded closes never appear here.
         self.validated_hashes: List[bytes] = []
-        # Resilience counters (also mirrored into the chaos injector).
+        # Resilience counters; each event is also tallied in RUN.
         self.round_retries = 0
         self.degraded_closes = 0
         self.failed_closes = 0
@@ -202,16 +207,10 @@ class RippledNode:
             agreed_set = outcome.plurality_tx_set
             validated = False
             self.degraded_closes += 1
-            METRICS.count("node.degraded_closes")
-            RUN.count("degraded_closes")
-            if self.chaos is not None:
-                self.chaos.note_degraded_close()
+            RUN.count("node.degraded_closes")
         else:
             self.failed_closes += 1
-            METRICS.count("node.failed_closes")
-            RUN.count("failed_closes")
-            if self.chaos is not None:
-                self.chaos.note_failed_close()
+            RUN.count("node.failed_closes")
             return None
 
         agreed = [
@@ -258,15 +257,12 @@ class RippledNode:
                 return outcome
             if attempt + 1 < attempts:
                 self.round_retries += 1
-                METRICS.count("node.round_retries")
-                RUN.count("round_retries")
-                if self.chaos is not None:
-                    self.chaos.note_retry()
+                RUN.count("node.round_retries")
                 # Exponential backoff with jitter, in simulated time: the
-                # close clock advances while the node waits to retry.
-                self.consensus.close_time += self.retry.backoff_seconds(
-                    attempt, self._retry_rng
-                )
+                # close clock advances in whole seconds while the node
+                # waits to retry.
+                delay = self.retry.backoff(attempt, self._retry_rng)
+                self.consensus.close_time += max(1, int(round(delay)))
         return outcome
 
     def run(self, rounds: int) -> List[ClosedLedger]:

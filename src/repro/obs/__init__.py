@@ -5,15 +5,16 @@ One subsystem answers "what did this run actually do?":
 * :mod:`repro.obs.trace` — structured span tracing
   (``span("fig3.compute", kind="phase")``) with deterministic ordering;
   serial and ``--jobs N`` runs of the same artifact produce identical
-  phase-span rollups.
+  phase-span rollups.  A span is also the one way to time a region: its
+  duration feeds the metrics timer of the same name.
 * :mod:`repro.obs.metrics` — the unified :data:`METRICS` registry
-  (counters, gauges, timers, histograms) that superseded ``repro.perf``,
-  the chaos/node counter mirrors, and the durability ingest tallies;
-  exposed as Prometheus text or JSON via ``python -m repro metrics``.
+  (counters, gauges, timers, histograms); exposed as Prometheus text or
+  JSON via ``python -m repro metrics``.
 * :mod:`repro.obs.manifest` — run manifests: every CLI artifact run with
   an output emits ``<out>.manifest.json`` (atomic write + sha256
   sidecar) recording the invocation, shard-plan fingerprint, span
-  rollups, ingest/degradation events, and output hashes, validated
+  rollups, ingest/degradation events (each also counted in
+  :data:`METRICS` under the same name), and output hashes, validated
   against the checked-in ``run_manifest.schema.json``.
 
 Everything is off by default and costs one attribute check per

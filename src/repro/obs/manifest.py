@@ -9,8 +9,11 @@ Every artifact run that produces a file (``--out``) or a trace
   (:func:`repro.parallel.sharding.plan_fingerprint`);
 * the deterministic **phase-span rollup** and (informationally) wall
   seconds per phase;
-* **ingest/quarantine stats** and **degradation events** (shard
-  resubmits, serial fallbacks, degraded/failed closes);
+* **ingest/quarantine stats** and **degradation events**
+  (``node.round_retries``, ``node.degraded_closes``,
+  ``node.failed_closes``, ``stream.replayed``,
+  ``stream.duplicates_dropped``, ``parallel.<artifact>.resubmits``,
+  ``parallel.<artifact>.serial_fallbacks``);
 * the **metrics snapshot** when metrics were enabled;
 * sha256 + byte size of every **output artifact**, plus the hash of the
   rendered text itself.
@@ -35,6 +38,8 @@ import hashlib
 import json
 import os
 from typing import Any, Dict, List, Optional
+
+from repro.obs.metrics import METRICS
 
 #: Manifest schema version; bump when the payload layout changes.
 RUN_MANIFEST_VERSION = 2
@@ -73,8 +78,14 @@ class RunContext:
         self.annotations.update(kwargs)
 
     def count(self, name: str, delta: int = 1) -> None:
-        """Tally one degradation/recovery event."""
+        """Tally one degradation/recovery event.
+
+        The one recording call per event: it also counts ``name`` in
+        :data:`METRICS`, so the manifest's ``events`` and its metrics
+        counters agree by construction.
+        """
         self.events[name] = self.events.get(name, 0) + delta
+        METRICS.count(name, delta)
 
 
 #: Process-wide run context.
@@ -189,7 +200,6 @@ def build_manifest(
     same value the serve cache keys on, so a manifest names the cache
     entry its run would hit.
     """
-    from repro.obs.metrics import METRICS
     from repro.obs.trace import TRACER
 
     tracer = tracer if tracer is not None else TRACER

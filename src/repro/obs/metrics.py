@@ -1,14 +1,13 @@
 """The unified metrics registry: counters, gauges, timers, histograms.
 
-One process-wide :data:`METRICS` registry absorbs what used to be four
-disjoint introspection surfaces — the ``repro.perf`` counter dict, the
-chaos/node mirrors, the parallel per-shard timers, and the durability
-ingest tallies.  The recording API is a superset of the old perf one
-(``count``/``add_time``/``timer`` plus ``gauge``/``observe``), so every
-instrumented site migrated without changing its shape; ``repro.perf``
-survives only as a deprecation shim over this module.
+One process-wide :data:`METRICS` registry holds every counter, gauge,
+timer and histogram a run records: the hot-path counters, the node's
+degradation events, the parallel per-shard timers and the durability
+ingest tallies.  Timed regions reach it through
+:func:`repro.obs.trace.span`, which adds each span's duration to the
+timer of the same name.
 
-Design constraints carried over from the perf registry:
+Design constraints:
 
 * **disabled by default** — every method is a no-op behind one attribute
   check while ``enabled`` is False, so instrumentation never taxes the
@@ -17,14 +16,13 @@ Design constraints carried over from the perf registry:
   process's :meth:`~MetricsRegistry.snapshot` into the parent, keeping
   ``--jobs N`` reports shaped like serial ones.
 
-New in this layer: a Prometheus-style text exposition
-(:meth:`MetricsRegistry.to_prom`) and a machine-readable JSON one
-(:meth:`MetricsRegistry.to_json`), surfaced by ``python -m repro metrics
---format prom|json``.
+The registry renders as Prometheus-style text
+(:meth:`MetricsRegistry.to_prom`) or JSON (:meth:`MetricsRegistry.to_json`),
+surfaced by ``python -m repro metrics --format prom|json``.
 
-Enable with ``REPRO_PROFILE=1``/``REPRO_METRICS=1`` or the CLI's
-``--profile`` flag; the CLI prints :meth:`MetricsRegistry.report` to
-stderr when profiling was requested.
+Enable with ``REPRO_PROFILE=1`` or the CLI's ``--profile`` flag; the CLI
+prints :meth:`MetricsRegistry.report` to stderr when profiling was
+requested.
 """
 
 from __future__ import annotations
@@ -255,11 +253,7 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-#: Process-wide registry; honours ``REPRO_PROFILE``/``REPRO_METRICS`` at
-#: import time (the former for continuity with the perf era).
+#: Process-wide registry; ``REPRO_PROFILE=1`` enables it at import.
 METRICS = MetricsRegistry(
-    enabled=any(
-        os.environ.get(var, "") not in ("", "0")
-        for var in ("REPRO_PROFILE", "REPRO_METRICS")
-    )
+    enabled=os.environ.get("REPRO_PROFILE", "") not in ("", "0")
 )

@@ -35,8 +35,13 @@ parent :meth:`Tracer.absorb`\\ s them *in shard order* after the pool
 drains — so a ``--jobs N`` trace is complete and deterministically
 ordered even though shards finish in arbitrary order.
 
-Disabled tracing costs one attribute check and returns a shared no-op
-context manager — nothing is allocated, nothing recorded.
+A span is also the one way to time a region: its duration goes to the
+:data:`~repro.obs.metrics.METRICS` timer of the same name whenever
+metrics are on, traced or not, so no site opens a separate timer.
+
+With tracing and metrics both off a span costs two attribute checks and
+returns a shared no-op context manager — nothing is allocated, nothing
+recorded.
 """
 
 from __future__ import annotations
@@ -46,12 +51,14 @@ import os
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.obs.metrics import METRICS
+
 #: Span fields that are clock dependent and excluded from golden hashes.
 VOLATILE_KEYS = ("wall_ts", "start_s", "duration_s")
 
 
 class _NullSpan:
-    """Shared no-op context manager returned while tracing is disabled."""
+    """Shared no-op context manager returned while tracing and metrics are off."""
 
     __slots__ = ()
 
@@ -63,9 +70,6 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
-
-#: Shared no-op span, for sites that pick between a real span and none.
-NULL_SPAN = _NULL_SPAN
 
 
 class _SpanContext:
@@ -82,7 +86,9 @@ class _SpanContext:
         return self._record
 
     def __exit__(self, *exc: object) -> bool:
-        self._record["duration_s"] = time.perf_counter() - self._t0
+        duration = time.perf_counter() - self._t0
+        self._record["duration_s"] = duration
+        METRICS.add_time(self._record["name"], duration)
         stack = self._tracer._stack
         if stack and stack[-1] == self._record["seq"]:
             stack.pop()
@@ -92,11 +98,8 @@ class _SpanContext:
 class Tracer:
     """Collects spans for one process; see the module docstring."""
 
-    def __init__(self, enabled: bool = False, verbose: bool = False):
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        #: When set, hot-path sites (per-payment submits, per-round
-        #: closes) emit spans too; off by default to keep traces small.
-        self.verbose = verbose
         self.spans: List[Dict[str, Any]] = []
         self._stack: List[int] = []
         self._next_seq = 0
@@ -120,9 +123,13 @@ class Tracer:
     # Recording --------------------------------------------------------------------
 
     def span(self, name: str, kind: str = "detail", **attrs: Any):
-        """Open a span; returns a context manager (no-op when disabled)."""
+        """Open a span; returns a context manager.
+
+        While disabled, the region is still timed into :data:`METRICS`
+        when metrics are on; with both off the span is a no-op.
+        """
         if not self.enabled:
-            return _NULL_SPAN
+            return METRICS.timer(name) if METRICS.enabled else _NULL_SPAN
         seq = self._next_seq
         self._next_seq += 1
         record: Dict[str, Any] = {
@@ -240,14 +247,10 @@ class Tracer:
 
 
 #: Process-wide tracer; ``REPRO_TRACE=1`` enables collection at import
-#: (the CLI's ``--trace`` flag is the usual entry point) and
-#: ``REPRO_TRACE_VERBOSE=1`` additionally turns on hot-path spans.
-TRACER = Tracer(
-    enabled=os.environ.get("REPRO_TRACE", "") not in ("", "0"),
-    verbose=os.environ.get("REPRO_TRACE_VERBOSE", "") not in ("", "0"),
-)
+#: (the CLI's ``--trace`` flag is the usual entry point).
+TRACER = Tracer(enabled=os.environ.get("REPRO_TRACE", "") not in ("", "0"))
 
 
 def span(name: str, kind: str = "detail", **attrs: Any):
-    """Open a span on the process-wide :data:`TRACER`."""
+    """Open a span on the process-wide :data:`TRACER`; see :meth:`Tracer.span`."""
     return TRACER.span(name, kind=kind, **attrs)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from repro.analysis.archive import ARCHIVE_VERSION
-from repro.durability.atomic import atomic_write
+from repro.durability.atomic import atomic_write, verify_manifest
 from repro.durability.ingest import QuarantineWriter
 from repro.errors import AnalysisError, IngestError
 from repro.obs.metrics import METRICS
@@ -123,12 +123,15 @@ def archive_event_source(
     quarantine them at apply time, so a poison line becomes an event
     whose body carries the parse failure instead of killing the tail.
     Resume is a skip: events below ``start_seq`` are already in the WAL
-    of the resuming process and must not be re-acknowledged.
+    of the resuming process and must not be re-acknowledged.  As in batch
+    ingest, a ``<path>.sha256`` sidecar, when present, is verified before
+    the first event (:class:`~repro.errors.IntegrityError` on mismatch).
     """
     import gzip
 
     if not os.path.exists(path):
         raise AnalysisError(f"archive not found: {path}")
+    verify_manifest(path)
     if path.endswith(".gz"):
         handle = gzip.open(path, "rt", encoding="utf-8", errors="replace")
     else:

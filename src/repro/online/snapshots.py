@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 from repro.durability.atomic import atomic_write, verify_manifest
 from repro.errors import IngestError, IntegrityError
 from repro.obs.metrics import METRICS
-from repro.online.state import OnlineState
+from repro.online.state import OnlineState, state_digest
 
 #: Manifest format tag for sealed snapshots.
 SNAPSHOT_FORMAT = "repro-online-snapshot/1"
@@ -84,19 +84,25 @@ class SnapshotStore:
     # Sealing -----------------------------------------------------------------
 
     def seal(self, state: OnlineState) -> str:
-        """Write one verified snapshot of ``state``; prunes old ones."""
-        payload = {
-            "format": SNAPSHOT_FORMAT,
-            "applied_seq": state.applied_seq,
-            "digest": state.digest(),
-            "state": state.payload(),
-        }
+        """Write one verified snapshot of ``state``; prunes old ones.
+
+        The state is encoded once: its canonical JSON is both what the
+        embedded digest hashes and the file's ``"state"`` value, which
+        sorts last among the wrapper's keys.
+        """
+        body = state.canonical_json()
+        head = json.dumps(
+            {
+                "applied_seq": state.applied_seq,
+                "digest": state_digest(body),
+                "format": SNAPSHOT_FORMAT,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
         path = os.path.join(self.directory, snapshot_name(state.applied_seq))
         with atomic_write(path, manifest=True, fmt=SNAPSHOT_FORMAT) as handle:
-            handle.write(
-                json.dumps(payload, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
+            handle.write(f'{head[:-1]},"state":{body}}}\n')
         METRICS.count("online.snapshot.sealed")
         self._prune()
         return path

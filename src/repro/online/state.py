@@ -51,6 +51,11 @@ from repro.online.events import (
 STATE_VERSION = 2
 
 
+def state_digest(canonical_json: str) -> str:
+    """The digest of one :meth:`OnlineState.canonical_json` encoding."""
+    return hashlib.sha256(canonical_json.encode("utf-8")).hexdigest()
+
+
 class ForkWatch:
     """Incremental per-view fork detection over the validation stream.
 
@@ -289,7 +294,7 @@ class OnlineState:
 
     def digest(self) -> str:
         """sha256 over the canonical serialized state — the drill's bit."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return state_digest(self.canonical_json())
 
     @classmethod
     def from_payload(cls, payload: dict) -> "OnlineState":

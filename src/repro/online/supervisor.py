@@ -1,8 +1,9 @@
 """Supervised ingest: crash restarts with backoff, heartbeat watchdog.
 
 The supervisor owns the pipeline lifecycle the way the node layer owns
-consensus retries — and it reuses the same :class:`repro.node.RetryPolicy`
-shape (base × multiplier^attempt, capped, jittered) for its backoff.
+consensus retries — and it reads its restart budget and backoff from the
+same :class:`repro.node.RetryPolicy` (``max_retries`` restarts, delays of
+base × multiplier^attempt, capped, jittered, in real seconds).
 Three failure modes, three behaviours:
 
 * **crash** (the pipeline raises): recover from disk and restart, with
@@ -36,7 +37,8 @@ from repro.online.events import IngestEvent
 from repro.online.pipeline import IngestConfig, IngestPipeline
 from repro.online.state import ForkWatch
 
-#: Default restart backoff: fast enough for drills, bounded for services.
+#: Default restart budget and backoff: fast enough for drills, bounded for
+#: services.  ``repro ingest --max-restarts`` overrides the budget.
 DEFAULT_RETRY = RetryPolicy(
     max_retries=5, base_backoff=0.2, multiplier=2.0, max_backoff=10.0,
     jitter=0.25,
@@ -59,7 +61,6 @@ class IngestSupervisor:
         self,
         config: IngestConfig,
         source_factory: Callable[[int], Iterable[IngestEvent]],
-        max_restarts: int = 5,
         heartbeat_timeout: float = 30.0,
         retry: RetryPolicy = DEFAULT_RETRY,
         fork_watch: Optional[ForkWatch] = None,
@@ -70,7 +71,6 @@ class IngestSupervisor:
             raise IngestError("heartbeat_timeout must be positive")
         self.config = config
         self.source_factory = source_factory
-        self.max_restarts = max_restarts
         self.heartbeat_timeout = heartbeat_timeout
         self.retry = retry
         self.fork_watch = fork_watch
@@ -85,19 +85,6 @@ class IngestSupervisor:
         pipeline = self.pipeline
         if pipeline is not None:
             pipeline.request_stop()
-
-    def _backoff(self, attempt: int) -> float:
-        """RetryPolicy-shaped delay in *real* seconds (floats allowed)."""
-        policy = self.retry
-        delay = min(
-            policy.max_backoff,
-            policy.base_backoff * policy.multiplier ** attempt,
-        )
-        if policy.jitter:
-            delay *= 1.0 + policy.jitter * (
-                2.0 * float(self._rng.random()) - 1.0
-            )
-        return max(0.0, delay)
 
     def run(self) -> Tuple[str, IngestPipeline]:
         """Supervise until the source drains; returns (digest, pipeline)."""
@@ -138,15 +125,15 @@ class IngestSupervisor:
             error = outcome.get("error")
             self.restarts += 1
             METRICS.count("online.supervisor.restarts")
-            if self.restarts > self.max_restarts:
+            budget = self.retry.max_retries
+            if self.restarts > budget:
                 raise SupervisorError(
-                    f"restart budget exhausted "
-                    f"({self.max_restarts}): {error}"
+                    f"restart budget exhausted ({budget}): {error}"
                 ) from error
-            delay = self._backoff(self.restarts - 1)
+            delay = self.retry.backoff(self.restarts - 1, self._rng)
             print(
                 f"ingest supervisor: restart {self.restarts}/"
-                f"{self.max_restarts} in {delay:.2f}s after: {error}",
+                f"{budget} in {delay:.2f}s after: {error}",
                 file=sys.stderr,
             )
             self.sleep(delay)

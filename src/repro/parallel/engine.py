@@ -7,23 +7,25 @@ Execution model for an artifact with a :class:`ShardedCompute` contract:
 3. each shard is submitted to the **persistent warm worker pool**
    (:mod:`repro.parallel.pool` — spawned lazily once per process, reused
    by every later call) whose worker applies ``compute_shard`` and
-   returns ``(partial, seconds, perf_snapshot)``;
+   returns ``(partial, metrics snapshot, trace snapshot)``;
 4. ``merge(partials, context)`` reduces in the parent, in shard order.
 
 Failure handling reuses the node's retry policy: a shard whose worker
 raises — or whose pool dies underneath it — is resubmitted up to
-``RetryPolicy.max_retries`` times (the policy's simulated-seconds backoff
-is applied as real *milliseconds* here; resubmission needs spacing, not
-ledger-scale waits).  A shard that still fails is computed in the parent
+``RetryPolicy.max_retries`` times (the policy's backoff is applied as
+real *milliseconds* here; resubmission needs spacing, not ledger-scale
+waits).  A shard that still fails is computed in the parent
 process, so a broken pool degrades to the serial path instead of losing
 the artifact.  A killed run is recovered by rerunning it: outputs are
 written atomically and the bytes are deterministic.
 
-Per-shard wall times are mirrored into :data:`repro.obs.metrics.METRICS` as
-``parallel.<artifact>.shard`` timers; worker-side perf snapshots are
-absorbed into the parent registry when profiling is enabled, so
-``--profile fork_threshold --jobs 4`` still reports the familiar timer
-names.
+Each shard runs inside a ``parallel.<artifact>.shard`` span, whose
+duration lands in the worker's :data:`repro.obs.metrics.METRICS` timer
+of that name; worker snapshots are absorbed into the parent registry
+when profiling is enabled, so ``--profile fork_threshold --jobs 4``
+reports the same timer names as a serial run.  Resubmits and serial
+fallbacks are run events (``parallel.<artifact>.resubmits`` /
+``.serial_fallbacks``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from repro.node import RetryPolicy
 from repro.obs.manifest import RUN
 from repro.obs.metrics import METRICS
-from repro.obs.trace import TRACER
+from repro.obs.trace import TRACER, span
 from repro.parallel import pool as warm_pool
 from repro.parallel.sharding import plan_fingerprint
 
@@ -77,8 +79,7 @@ def run_compute(artifact, args: Any) -> Any:
     sharded = artifact.sharded
     if sharded is None or jobs <= 1:
         return artifact.compute(args)
-    with METRICS.timer(f"parallel.{artifact.name}.prepare"), \
-            TRACER.span(f"parallel.{artifact.name}.prepare"):
+    with span(f"parallel.{artifact.name}.prepare"):
         context = sharded.prepare(args)
     shards = sharded.shards(context, jobs)
     if not shards:
@@ -94,8 +95,7 @@ def run_compute(artifact, args: Any) -> Any:
         partials = map_shards(
             artifact.name, sharded.compute_shard, shards, jobs
         )
-    with METRICS.timer(f"parallel.{artifact.name}.merge"), \
-            TRACER.span(f"parallel.{artifact.name}.merge"):
+    with span(f"parallel.{artifact.name}.merge"):
         return sharded.merge(partials, context)
 
 
@@ -106,8 +106,8 @@ def _call_shard(
     payload: Tuple[Callable[[Any], Any], Any, bool, bool, str, int]
 ):
     """Apply one shard function; runs in the worker (or as the parent's
-    last-resort fallback).  Returns (partial, seconds, metrics snapshot,
-    trace snapshot)."""
+    last-resort fallback).  Returns (partial, metrics snapshot, trace
+    snapshot)."""
     fn, shard, profile, trace, name, index = payload
     if profile:
         # Forked workers inherit the parent's live registry; reset it so
@@ -122,14 +122,11 @@ def _call_shard(
         # span so the absorbed trace shows where each shard ran.
         TRACER.reset()
         TRACER.enable()
-    start = time.perf_counter()
-    # TRACER.span is a cheap no-op when tracing is off in this process.
-    with TRACER.span(f"parallel.{name}.shard", shard=index):
+    with span(f"parallel.{name}.shard", shard=index):
         partial = fn(shard)
-    elapsed = time.perf_counter() - start
     snapshot = METRICS.snapshot() if profile else None
     spans = TRACER.snapshot() if trace else None
-    return partial, elapsed, snapshot, spans
+    return partial, snapshot, spans
 
 
 def _start_method() -> str:
@@ -169,11 +166,6 @@ def map_shards(
     rng = np.random.default_rng(0)
     results: Dict[int, Any] = {}
     pending = list(range(len(shards)))
-
-    def record(index: int, partial: Any, elapsed: float) -> None:
-        results[index] = partial
-        METRICS.add_time(f"parallel.{name}.shard", elapsed)
-
     jobs = max(1, jobs)
     attempts = [0] * len(shards)
     context = multiprocessing.get_context(_start_method())
@@ -200,12 +192,12 @@ def map_shards(
             wait(futures)
             for future, index in futures.items():
                 try:
-                    partial, elapsed, snapshot, spans = future.result()
+                    partial, snapshot, spans = future.result()
                 except Exception as exc:  # worker raise or pool death
                     broken = broken or isinstance(exc, BrokenProcessPool)
                     failed.append(index)
                     continue
-                record(index, partial, elapsed)
+                results[index] = partial
                 METRICS.count(f"parallel.{name}.shards")
                 if snapshot:
                     METRICS.absorb(snapshot)
@@ -217,22 +209,19 @@ def map_shards(
                 if attempts[index] > policy.max_retries:
                     # Graceful degradation: the parent computes the shard
                     # itself — same function, same partial, just serial.
-                    # The shard span lands in the live parent tracer, so
-                    # profile/trace stay False here.
-                    METRICS.count(f"parallel.{name}.serial_fallbacks")
-                    RUN.count("shard_serial_fallbacks")
-                    partial, elapsed, _snapshot, _spans = _call_shard(
+                    # The shard span lands in the live parent tracer and
+                    # registry, so profile/trace stay False here.
+                    RUN.count(f"parallel.{name}.serial_fallbacks")
+                    results[index] = _call_shard(
                         (fn, shards[index], False, False, name, index)
-                    )
-                    record(index, partial, elapsed)
+                    )[0]
                 else:
-                    METRICS.count(f"parallel.{name}.resubmits")
-                    RUN.count("shard_resubmits")
+                    RUN.count(f"parallel.{name}.resubmits")
                     pending.append(index)
             if pending:
-                # Policy backoff is defined in simulated seconds; spacing
-                # real resubmits wants milliseconds, not ledger-scale waits.
-                delay_ms = policy.backoff_seconds(
+                # The policy's delay is read as milliseconds: spacing real
+                # resubmits wants milliseconds, not ledger-scale waits.
+                delay_ms = policy.backoff(
                     max(attempts[index] for index in pending) - 1, rng
                 )
                 time.sleep(delay_ms / 1000.0)

@@ -38,7 +38,6 @@ from repro.ledger.state import LedgerState
 from repro.ledger.transactions import BASE_FEE_DROPS
 from repro.payments.bridging import BridgePlan, plan_bridge, plan_same_currency_detour
 from repro.obs.metrics import METRICS
-from repro.obs.trace import NULL_SPAN as _NULL_SPAN, TRACER
 from repro.payments.execution import ExecutionOutcome, Executor
 from repro.payments.graph import TrustGraph
 from repro.payments.pathfinding import (
@@ -161,27 +160,7 @@ class PaymentEngine:
         unchanged except for the burned fee (as in Ripple, where failed
         transactions still cost their fee once they claim a ledger slot).
         """
-        if METRICS.enabled or TRACER.verbose:
-            # Per-payment spans only under REPRO_TRACE_VERBOSE — at 12k+
-            # payments a span each would swamp the default trace.
-            with METRICS.timer("engine.submit"), (
-                TRACER.span("payments.submit")
-                if TRACER.verbose else _NULL_SPAN
-            ):
-                result = self._submit(
-                    sender,
-                    receiver,
-                    amount,
-                    send_max,
-                    forced_paths,
-                    banned_intermediaries,
-                    allow_offers,
-                )
-            METRICS.count("engine.payments")
-            if not result.success:
-                METRICS.count("engine.failures")
-            return result
-        return self._submit(
+        result = self._submit(
             sender,
             receiver,
             amount,
@@ -190,6 +169,11 @@ class PaymentEngine:
             banned_intermediaries,
             allow_offers,
         )
+        if METRICS.enabled:
+            METRICS.count("engine.payments")
+            if not result.success:
+                METRICS.count("engine.failures")
+        return result
 
     def submit_batch(
         self,
@@ -201,27 +185,19 @@ class PaymentEngine:
 
         Semantically identical to calling :meth:`submit` once per
         ``(sender, receiver, amount)`` tuple, but the per-payment overhead
-        is amortized across the batch: one metrics timer and one counter
-        flush for the whole call instead of one per payment, and endpoint
-        validation is a direct dictionary membership test instead of two
-        exception-guarded lookups.  The replay loops (Table II, bench)
-        submit tens of thousands of payments back to back; this is their
-        entry point.
+        is amortized across the batch: one counter flush for the whole call
+        instead of one per payment, and endpoint validation is a direct
+        dictionary membership test instead of two exception-guarded
+        lookups.  ``repro.bench`` submits its payments back to back through
+        it; the Table II replay calls :meth:`submit` per payment.
         """
-        if METRICS.enabled or TRACER.verbose:
-            with METRICS.timer("engine.submit_batch"), (
-                TRACER.span("payments.submit_batch")
-                if TRACER.verbose else _NULL_SPAN
-            ):
-                results = self._submit_batch(
-                    payments, banned_intermediaries, allow_offers
-                )
+        results = self._submit_batch(payments, banned_intermediaries, allow_offers)
+        if METRICS.enabled:
             METRICS.count("engine.payments", len(results))
             failures = sum(1 for r in results if not r.success)
             if failures:
                 METRICS.count("engine.failures", failures)
-            return results
-        return self._submit_batch(payments, banned_intermediaries, allow_offers)
+        return results
 
     def _submit_batch(
         self,

@@ -171,11 +171,12 @@ def sample_deliverability(
 
     ``banned`` removes accounts from the relay fabric (endpoints stay
     usable), the same knob as the Table II replay.  Flows are exact and
-    hop-unbounded.
+    hop-unbounded.  Of the ``pairs`` draws, those whose two endpoints
+    coincide are skipped; ``pairs_sampled`` counts the pairs probed.
     """
     rng = np.random.default_rng(seed)
     network = CreditNetwork(state, currency, banned)
-    connected = 0
+    probed = connected = 0
     flows: List[float] = []
     for _ in range(pairs):
         source, sink = (
@@ -184,13 +185,14 @@ def sample_deliverability(
         )
         if source == sink:
             continue
+        probed += 1
         flow = max_flow(network, source, sink)
         if flow > DUST:
             connected += 1
             flows.append(flow)
     return DeliverabilityReport(
         currency=currency.code,
-        pairs_sampled=pairs,
+        pairs_sampled=probed,
         connected_pairs=connected,
         median_max_flow=float(np.median(flows)) if flows else 0.0,
     )

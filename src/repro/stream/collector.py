@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import StreamError
+from repro.obs.manifest import RUN
 from repro.obs.metrics import METRICS
 from repro.stream.events import StreamEvent
 
@@ -30,7 +31,8 @@ class StreamCollector:
 
     With ``dedupe=True`` the collector survives at-least-once delivery:
     replayed events (same validator, sequence, page hash, and sign time)
-    are dropped and counted in ``duplicates_dropped`` — required when the
+    are dropped and counted in ``duplicates_dropped`` (and the run's
+    ``stream.duplicates_dropped`` event) — required when the
     upstream :class:`~repro.stream.server.StreamServer` reconnects after
     an injected disconnect and replays its buffer.
 
@@ -54,8 +56,6 @@ class StreamCollector:
     #: Evict dedupe keys once the stream has advanced this many seconds
     #: past them; None keeps keys until the window closes.
     dedupe_horizon: Optional[int] = None
-    #: Optional chaos injector notified of dropped duplicates.
-    chaos: Optional[object] = None
     duplicates_dropped: int = 0
     dedupe_evicted: int = 0
     #: key -> received_at of the last sighting (the eviction clock).
@@ -95,8 +95,7 @@ class StreamCollector:
             if key in self._seen:
                 self._seen[key] = event.received_at
                 self.duplicates_dropped += 1
-                if self.chaos is not None:
-                    self.chaos.note_duplicate_dropped()
+                RUN.count("stream.duplicates_dropped")
                 return
             self._seen[key] = event.received_at
             self._sweep_seen(event.received_at)

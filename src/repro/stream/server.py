@@ -25,6 +25,7 @@ import numpy as np
 from repro.consensus.engine import ConsensusEngine
 from repro.consensus.proposals import Validation
 from repro.errors import StreamError
+from repro.obs.manifest import RUN
 from repro.stream.events import StreamEvent
 
 Subscriber = Callable[[StreamEvent], None]
@@ -51,6 +52,7 @@ class StreamServer:
     _recent: Optional[Deque[StreamEvent]] = field(default=None, repr=False)
     relayed: int = 0
     dropped: int = 0
+    buffered: int = 0
     replayed: int = 0
     reconnects: int = 0
 
@@ -80,7 +82,7 @@ class StreamServer:
         ):
             # Connection down: hold the event for replay on reconnect.
             self._pending.append(event)
-            self.chaos.note_stream_buffered()
+            self.buffered += 1
             return
         if self._pending:
             self._replay()
@@ -95,8 +97,7 @@ class StreamServer:
         self._pending = []
         self.reconnects += 1
         self.replayed += len(replayed)
-        if self.chaos is not None:
-            self.chaos.note_stream_replayed(len(replayed))
+        RUN.count("stream.replayed", len(replayed))
         for event in replayed:
             self._recent.append(event)
             self._deliver(event)

@@ -36,7 +36,7 @@ from repro.ledger.offers import Offer
 from repro.ledger.state import LedgerState
 from repro.payments.engine import PaymentEngine, PaymentResult
 from repro.obs.metrics import METRICS
-from repro.obs.trace import TRACER
+from repro.obs.trace import span
 from repro.synthetic.actors import Cast, build_cast
 from repro.synthetic.config import EconomyConfig
 from repro.synthetic.distributions import sample_amounts
@@ -168,8 +168,7 @@ class LedgerHistoryGenerator:
 
     def generate(self) -> SyntheticHistory:
         """Run the whole history and return it."""
-        with METRICS.timer("generator.generate"), \
-                TRACER.span("synthetic.generate", payments=self.config.n_payments):
+        with span("synthetic.generate", payments=self.config.n_payments):
             slots = build_schedule(self.config, self.rng)
             offer_times = offer_schedule(self.config, self.rng)
             offer_cursor = 0

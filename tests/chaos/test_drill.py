@@ -5,6 +5,18 @@ import pytest
 from repro.chaos import ChaosInjector, FaultPlan, run_drill
 from repro.chaos.drill import DRILL_RIPPLE_LABS, drill_roster
 from repro.consensus.engine import ConsensusEngine
+from repro.obs.manifest import RUN
+from repro.obs.metrics import METRICS
+
+#: Each degradation event: its one name (run event and metrics counter)
+#: and the DrillReport field that reports it.
+EVENTS = {
+    "node.round_retries": "round_retries",
+    "node.degraded_closes": "degraded_closes",
+    "node.failed_closes": "failed_closes",
+    "stream.replayed": "stream_replayed",
+    "stream.duplicates_dropped": "duplicates_dropped",
+}
 
 
 class TestPartitionDrill:
@@ -36,10 +48,29 @@ class TestPartitionDrill:
         assert report.stream_reconnects >= 1
         assert report.stream_replayed > 0
 
-    def test_counters_mirror_node(self, report):
-        assert report.counters.round_retries == report.round_retries
-        assert report.counters.degraded_rounds == report.degraded_closes
-        assert report.counters.failed_closes == report.failed_closes
+
+class TestEachEventCountedOnce:
+    @pytest.fixture()
+    def metrics_on(self):
+        was_enabled = METRICS.enabled
+        METRICS.reset()
+        METRICS.enable()
+        RUN.reset()
+        yield
+        RUN.reset()
+        METRICS.reset()
+        METRICS.enabled = was_enabled
+
+    @pytest.mark.parametrize("plan", ["partition", "crash", "mixed"])
+    def test_metrics_report_and_run_events_agree(self, plan, metrics_on):
+        report = run_drill(plan, seed=3, rounds=120)
+        assert report.round_retries > 0
+        for name, field in EVENTS.items():
+            assert (
+                METRICS.counters.get(name, 0)
+                == getattr(report, field)
+                == RUN.events.get(name, 0)
+            ), name
 
 
 class TestQuietPlan:

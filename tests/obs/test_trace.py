@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.obs.metrics import METRICS
 from repro.obs.trace import VOLATILE_KEYS, Tracer
 
 
@@ -175,3 +178,38 @@ class TestLines:
         assert (tmp_path / "run.trace.jsonl.sha256").exists()
         record = json.loads(path.read_text().strip())
         assert record["name"] == "only"
+
+
+class TestSpanTimesIntoMetrics:
+    """A span is the one timer of its region: it feeds METRICS by name."""
+
+    @pytest.fixture(autouse=True)
+    def metrics_on(self):
+        was_enabled = METRICS.enabled
+        METRICS.reset()
+        METRICS.enable()
+        yield
+        METRICS.reset()
+        METRICS.enabled = was_enabled
+
+    def test_untraced_span_still_times(self):
+        tracer = Tracer(enabled=False)
+        for _ in range(2):
+            with tracer.span("region"):
+                pass
+        assert tracer.spans == []
+        assert METRICS.snapshot()["timers"]["region"]["calls"] == 2
+
+    def test_traced_span_times_once(self):
+        tracer = Tracer(enabled=True)
+        with tracer.span("region"):
+            pass
+        timer = METRICS.snapshot()["timers"]["region"]
+        assert timer["calls"] == 1
+        assert timer["seconds"] == tracer.spans[0]["duration_s"]
+
+    def test_nothing_recorded_with_both_off(self):
+        METRICS.disable()
+        with Tracer(enabled=False).span("region"):
+            pass
+        assert METRICS.snapshot()["timers"] == {}

@@ -11,11 +11,12 @@ import gzip
 import itertools
 import json
 import os
+import shutil
 
 import pytest
 
 from repro.durability.atomic import manifest_path
-from repro.errors import IngestError
+from repro.errors import IngestError, IntegrityError
 from repro.obs.metrics import METRICS
 from repro.online import (
     BoundedEventQueue,
@@ -198,6 +199,33 @@ class TestQuarantine:
         with open(sidecar) as handle:
             entries = [json.loads(line) for line in handle]
         assert len(entries) == 1  # replay did not re-divert it
+
+
+class TestArchiveSidecar:
+    """Live ingest verifies an archive's sidecar as batch ingest does."""
+
+    def test_flipped_byte_fails_before_the_first_event(
+        self, archive_path, tmp_path
+    ):
+        copy = str(tmp_path / "ledger.jsonl.gz")
+        shutil.copy(archive_path, copy)
+        shutil.copy(manifest_path(archive_path), manifest_path(copy))
+        with open(copy, "r+b") as handle:
+            handle.seek(os.path.getsize(copy) // 2)
+            byte = handle.read(1)
+            handle.seek(-1, os.SEEK_CUR)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        events = archive_event_source(copy)
+        with pytest.raises(IntegrityError, match="sha256 mismatch"):
+            next(events)
+
+    def test_archive_without_sidecar_still_ingests(
+        self, archive_path, tmp_path
+    ):
+        copy = str(tmp_path / "ledger.jsonl.gz")
+        shutil.copy(archive_path, copy)
+        assert not os.path.exists(manifest_path(copy))
+        assert sum(1 for _ in archive_event_source(copy)) == 1000
 
 
 class TestRecoveryEdges:

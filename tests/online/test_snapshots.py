@@ -1,5 +1,6 @@
 """Snapshot store: sealing, verification, fallback past defects."""
 
+import itertools
 import json
 import os
 
@@ -8,7 +9,8 @@ import pytest
 from repro.durability.atomic import manifest_path
 from repro.errors import IntegrityError
 from repro.online.events import payment_event
-from repro.online.snapshots import SnapshotStore, snapshot_name
+from repro.online.pipeline import archive_event_source
+from repro.online.snapshots import SNAPSHOT_FORMAT, SnapshotStore, snapshot_name
 from repro.online.state import OnlineState
 
 
@@ -28,6 +30,27 @@ class TestSealLoad:
         loaded, applied_seq = store.load(sealed)
         assert applied_seq == 4
         assert loaded.digest() == state_after(5).digest()
+
+    def test_sealed_bytes_encode_the_state_once(self, tmp_path, archive_path):
+        state = OnlineState()
+        for event in itertools.islice(archive_event_source(archive_path), 300):
+            state.absorb(event)
+        store = SnapshotStore(str(tmp_path / "snaps"))
+        sealed = store.seal(state)
+        wrapper = {
+            "format": SNAPSHOT_FORMAT,
+            "applied_seq": state.applied_seq,
+            "digest": state.digest(),
+            "state": state.payload(),
+        }
+        with open(sealed, "r", encoding="utf-8") as handle:
+            assert handle.read() == (
+                json.dumps(wrapper, sort_keys=True, separators=(",", ":"))
+                + "\n"
+            )
+        loaded, applied_seq = store.load(sealed)
+        assert applied_seq == 299
+        assert loaded.digest() == state.digest()
 
     def test_keep_bound_prunes_oldest(self, tmp_path):
         store = SnapshotStore(str(tmp_path / "snaps"), keep=2)

@@ -1,5 +1,6 @@
 """The ingest supervisor: bounded restarts, backoff shape, stall watchdog."""
 
+import dataclasses
 import itertools
 import time
 
@@ -23,7 +24,7 @@ def config(tmp_path, **overrides):
     return IngestConfig(**defaults)
 
 
-FAST_RETRY = RetryPolicy(base_backoff=0.001, multiplier=2.0,
+FAST_RETRY = RetryPolicy(max_retries=5, base_backoff=0.001, multiplier=2.0,
                          max_backoff=0.01, jitter=0.0)
 
 
@@ -60,7 +61,6 @@ class TestRestarts:
         supervisor = IngestSupervisor(
             config(tmp_path),
             FlakySource(archive_path, crashes=3),
-            max_restarts=5,
             retry=FAST_RETRY,
             poll_interval=0.01,
             sleep=slept.append,
@@ -93,8 +93,7 @@ class TestRestarts:
         supervisor = IngestSupervisor(
             config(tmp_path),
             FlakySource(archive_path, crashes=99),
-            max_restarts=2,
-            retry=FAST_RETRY,
+            retry=dataclasses.replace(FAST_RETRY, max_retries=2),
             poll_interval=0.01,
             sleep=lambda _s: None,
         )

@@ -15,6 +15,8 @@ import os
 import pytest
 
 from repro.node import RetryPolicy
+from repro.obs.manifest import RUN
+from repro.obs.metrics import METRICS
 from repro.parallel import pool
 from repro.parallel.engine import (
     effective_jobs,
@@ -130,9 +132,25 @@ class TestMapShards:
         assert results == [0, 1, 4]
 
     def test_persistent_failure_falls_back_to_parent(self):
-        shards = [(v, os.getpid()) for v in range(3)]
-        results = map_shards("t", _fail_in_workers, shards, 2, FAST_POLICY)
-        assert results == [0, 1, 4]
+        was_enabled = METRICS.enabled
+        METRICS.reset()
+        METRICS.enable()
+        RUN.reset()
+        try:
+            shards = [(v, os.getpid()) for v in range(3)]
+            results = map_shards("t", _fail_in_workers, shards, 2, FAST_POLICY)
+            assert results == [0, 1, 4]
+            # Two resubmits per shard, then one serial fallback each: one
+            # run event per degradation, counted in METRICS by name.
+            expected = {"parallel.t.resubmits": 6,
+                        "parallel.t.serial_fallbacks": 3}
+            assert RUN.events == expected
+            for name, count in expected.items():
+                assert METRICS.counters[name] == count
+        finally:
+            RUN.reset()
+            METRICS.reset()
+            METRICS.enabled = was_enabled
 
     def test_worker_crash_falls_back_to_parent(self):
         # os._exit kills the worker mid-task: the pool breaks, is rebuilt

@@ -72,19 +72,9 @@ class FakeChaos:
 
     def __init__(self, down: int, up: int):
         self.down, self.up = down, up
-        self.buffered = self.replayed = self.duplicates = 0
 
     def stream_disconnected(self, t: int) -> bool:
         return self.down <= t < self.up
-
-    def note_stream_buffered(self, count: int = 1) -> None:
-        self.buffered += count
-
-    def note_stream_replayed(self, count: int) -> None:
-        self.replayed += count
-
-    def note_duplicate_dropped(self, count: int = 1) -> None:
-        self.duplicates += count
 
 
 class TestReconnectReplay:
@@ -97,7 +87,7 @@ class TestReconnectReplay:
         chaos = FakeChaos(down=3, up=6)
         server = StreamServer(mean_delay=0.0, loss_rate=0.0, seed=0,
                               chaos=chaos, replay_overlap=2)
-        collector = StreamCollector(dedupe=True, chaos=chaos)
+        collector = StreamCollector(dedupe=True)
         server.subscribe(collector)
 
         for i in range(10):
@@ -105,7 +95,7 @@ class TestReconnectReplay:
 
         # Three validations were held while the connection was down, then
         # replayed together with the 2-event pre-disconnect overlap.
-        assert chaos.buffered == 3
+        assert server.buffered == 3
         assert server.reconnects == 1
         assert server.replayed == 5  # 2 overlap + 3 buffered
         # At-least-once upstream, exactly-once downstream: the dedup
@@ -117,7 +107,7 @@ class TestReconnectReplay:
         chaos = FakeChaos(down=7, up=100)
         server = StreamServer(mean_delay=0.0, loss_rate=0.0, seed=0,
                               chaos=chaos)
-        collector = StreamCollector(dedupe=True, chaos=chaos)
+        collector = StreamCollector(dedupe=True)
         server.subscribe(collector)
         for i in range(10):
             server.on_validation(self.make_validation(i))

@@ -122,6 +122,23 @@ class TestDeliverability:
         assert 0.0 <= report.deliverability <= 1.0
         assert report.pairs_sampled == 20
 
+    def test_self_pairs_are_not_sampled(self):
+        """Two users around one hub: every distinct pair is connected."""
+        state = LedgerState()
+        names = ("alice", "hub", "bob")
+        acc = {n: account_from_name(n, namespace="liq-self") for n in names}
+        for account in acc.values():
+            state.create_account(account, 10 ** 9)
+        for user in ("alice", "bob"):
+            state.set_trust(acc[user], acc["hub"], usd(10))
+            state.set_trust(acc["hub"], acc[user], usd(10))
+        report = sample_deliverability(
+            state, USD, list(acc.values()), pairs=30, seed=0
+        )
+        assert report.pairs_sampled < 30
+        assert report.connected_pairs == report.pairs_sampled
+        assert report.deliverability == 1.0
+
     def test_banning_relayers_reduces_deliverability(self, history):
         users = [user.account for user in history.cast.users[:60]]
         makers = history.cast.market_maker_accounts()

@@ -22,8 +22,9 @@ Every invocation appends the fresh numbers to the history, so the gate
 sharpens itself as the cache warms.  Exit code 0 = pass, 1 = regression,
 2 = usage/IO error.
 
-Pipeline payloads are also accepted and pass: they carry wall-clock
-timings only, which :func:`repro.bench.gate_payload` does not gate.
+Only ``node`` payloads (``repro bench-node``) are gated; a payload of
+any other kind passes, as :func:`repro.bench.gate_payload` gates nothing
+in it.
 """
 
 from __future__ import annotations
