@@ -34,10 +34,12 @@ contracts = _load_contracts()
 def test_every_golden_belongs_to_exactly_one_case():
     owned = [case.golden for case in contracts.CASES if case.golden]
     assert len(owned) == len(set(owned))
+    examples = os.path.join(ROOT, "examples")
     on_disk = sorted(
         f"examples/{folder}/{name}"
-        for folder in ("scenarios", "cascades")
-        for name in os.listdir(os.path.join(ROOT, "examples", folder))
+        for folder in os.listdir(examples)
+        if os.path.isdir(os.path.join(examples, folder))
+        for name in os.listdir(os.path.join(examples, folder))
     )
     assert sorted(owned) == on_disk
 

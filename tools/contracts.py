@@ -202,6 +202,16 @@ CASES: Tuple[Case, ...] = (
         ),
         jobs=(2,),
     ),
+    Case(
+        "fig2",
+        ("fig2", "--seed", "7"),
+        golden="examples/figures/fig2.txt",
+        claims=(
+            ("some validators sign pages that never reach the main ledger",
+             lambda r: re.search(r"^\s+\S+\s+[1-9]\d*\s+0$", r,
+                                 re.MULTILINE) is not None),
+        ),
+    ),
     Case("fig3", ("fig3", *PAPER), jobs=(4,)),
     Case("fig5", ("fig5", *PAPER), jobs=(4,)),
     Case("table2", ("table2", *PAPER), jobs=(4,)),
