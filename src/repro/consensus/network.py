@@ -42,17 +42,18 @@ class NetworkModel:
             return 0.6
         return 0.0
 
+    def _group_of(self, name: str) -> int:
+        """Index of the last declared partition listing ``name``; -1, the
+        one shared "no group" id, when none does."""
+        group_id = -1
+        for index, group in enumerate(self.partitions):
+            if name in group:
+                group_id = index
+        return group_id
+
     def _partitioned(self, a: str, b: str) -> bool:
         """True when a and b are in different declared partitions."""
-        if not self.partitions:
-            return False
-        group_a = group_b = None
-        for index, group in enumerate(self.partitions):
-            if a in group:
-                group_a = index
-            if b in group:
-                group_b = index
-        return group_a != group_b
+        return bool(self.partitions) and self._group_of(a) != self._group_of(b)
 
     def delivery_array(
         self,
@@ -82,10 +83,8 @@ class NetworkModel:
         delivered = rng.random((n, n)) >= loss
         delivered &= networks[:, None] == networks[None, :]
         if self.partitions:
-            for i, a in enumerate(participants):
-                for j, b in enumerate(participants):
-                    if i != j and self._partitioned(a.name, b.name):
-                        delivered[i, j] = False
+            groups = np.array([self._group_of(v.name) for v in participants])
+            delivered &= groups[:, None] == groups[None, :]
         if blocked:
             for i, speaker in enumerate(participants):
                 if speaker.name in blocked:

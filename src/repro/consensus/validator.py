@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Set
+from typing import Optional
 
 import numpy as np
 
@@ -59,58 +59,21 @@ class Validator:
             return False
         return rng.random() < self.profile.availability
 
-    def initial_position(
-        self, tx_pool: FrozenSet[bytes], rng: np.random.Generator
-    ) -> Set[bytes]:
-        """The candidate set this validator enters deliberation with.
+    @property
+    def receive_probability(self) -> float:
+        """Chance of holding any given pending transaction at round start.
 
         Healthy validators have seen (almost) every pending transaction;
         lagging ones miss many — the source of initial disagreement RPCA
         must resolve.
         """
         if self.profile.receive_probability is not None:
-            receive_probability = self.profile.receive_probability
-        elif self.behaviour is Behaviour.LAGGING:
-            receive_probability = 0.6
-        elif self.behaviour is Behaviour.OFFLINE:
-            receive_probability = 0.5
-        else:
-            receive_probability = 0.98
-        if not tx_pool:
-            return set()
-        pool = sorted(tx_pool)
-        mask = rng.random(len(pool)) < receive_probability
-        return {tx for tx, keep in zip(pool, mask) if keep}
-
-    def update_position(
-        self,
-        position: Set[bytes],
-        peer_positions: dict,
-        threshold: float,
-    ) -> Set[bytes]:
-        """One deliberation iteration: keep transactions with enough support.
-
-        ``peer_positions`` maps validator name -> candidate set, restricted
-        to proposals actually delivered from this validator's UNL.  A
-        transaction survives when at least ``threshold`` of those peers
-        (self included) propose it.
-        """
-        voters = {name: pos for name, pos in peer_positions.items() if name in self.unl}
-        voters[self.name] = position
-        needed = threshold * len(voters)
-        support: dict = {}
-        for pos in voters.values():
-            for tx in pos:
-                support[tx] = support.get(tx, 0) + 1
-        return {tx for tx, count in support.items() if count >= needed - 1e-9}
-
-    def byzantine_position(
-        self, tx_pool: FrozenSet[bytes], rng: np.random.Generator
-    ) -> Set[bytes]:
-        """A conflicting position: a random half of the pool."""
-        pool = sorted(tx_pool)
-        mask = rng.random(len(pool)) < 0.5
-        return {tx for tx, keep in zip(pool, mask) if keep}
+            return self.profile.receive_probability
+        if self.behaviour is Behaviour.LAGGING:
+            return 0.6
+        if self.behaviour is Behaviour.OFFLINE:
+            return 0.5
+        return 0.98
 
     def make_validation(
         self,

@@ -36,6 +36,7 @@ from repro.chaos.scenarios import (
     sweep_shard_rows,
 )
 from repro.consensus.faults import Behaviour, ValidatorProfile
+from repro.consensus.rounds import draw_positions
 from repro.consensus.unl import UNL
 from repro.consensus.validator import Validator
 from repro.obs.metrics import METRICS
@@ -179,7 +180,6 @@ class TestSissleFixed:
 class TestAdversarialProfile:
     def test_receive_probability_override_reaches_initial_position(self):
         unl = UNL.of(("v0",))
-        pool = frozenset(bytes([i]) * 4 for i in range(32))
         rng = np.random.default_rng(0)
         everything = Validator(
             "v0",
@@ -191,8 +191,11 @@ class TestAdversarialProfile:
             unl,
             ValidatorProfile(Behaviour.ACTIVE, receive_probability=0.0),
         )
-        assert everything.initial_position(pool, rng) == set(pool)
-        assert nothing.initial_position(pool, rng) == set()
+        drawn = draw_positions(
+            [everything.receive_probability, nothing.receive_probability], 32, rng
+        )
+        assert drawn[0].all()
+        assert not drawn[1].any()
 
 
 class TestForkThreshold:

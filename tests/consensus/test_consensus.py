@@ -15,7 +15,12 @@ from repro.consensus.faults import (
 )
 from repro.consensus.network import NetworkModel
 from repro.consensus.proposals import Validation
-from repro.consensus.rounds import page_hash_for, run_round
+from repro.consensus.rounds import (
+    deliberate,
+    draw_positions,
+    page_hash_for,
+    run_round,
+)
 from repro.consensus.unl import UNL
 from repro.consensus.validator import Validator, validator_key_id
 from repro.errors import ConsensusError, QuorumError
@@ -76,28 +81,36 @@ class TestValidatorBehaviour:
     def test_initial_position_subset_of_pool(self):
         validator = Validator("v", UNL.of(["v"]), active())
         rng = np.random.default_rng(0)
-        pool = frozenset(bytes([i]) * 32 for i in range(20))
-        position = validator.initial_position(pool, rng)
-        assert position <= pool
+        position = draw_positions([validator.receive_probability], 20, rng)
+        assert position.shape == (1, 20)
+        assert set(position.ravel().tolist()) <= {0, 1}
 
     def test_lagging_sees_less(self):
         rng = np.random.default_rng(0)
-        pool = frozenset(i.to_bytes(2, "big") * 16 for i in range(400))
         healthy = Validator("h", UNL.of(["h"]), active())
         lagger = Validator("l", UNL.of(["l"]), lagging())
-        seen_healthy = len(healthy.initial_position(pool, rng))
-        seen_lagging = len(lagger.initial_position(pool, rng))
+        seen_healthy, seen_lagging = draw_positions(
+            [healthy.receive_probability, lagger.receive_probability], 400, rng
+        ).sum(axis=1)
         assert seen_lagging < seen_healthy
 
     def test_update_position_threshold(self):
-        unl = UNL.of(["a", "b", "c", "d"])
-        validator = Validator("a", unl, active())
-        tx = b"t" * 32
-        peers = {"b": {tx}, "c": {tx}, "d": set()}
+        roster = [Validator(n, UNL.of(["a", "b", "c", "d"]), active()) for n in "abcd"]
+        delivered = ~np.eye(4, dtype=bool)
+        # a, b and c propose tx; d does not
+        positions = np.array([[1], [1], [1], [0]], dtype=np.int64)
+
+        def a_keeps(threshold):
+            after, _ = deliberate(
+                roster, [False] * 4, positions, delivered, frozenset(),
+                (threshold,), np.random.default_rng(0),
+            )
+            return bool(after[0, 0])
+
         # support 3/4 (incl. self) >= 0.5 -> kept
-        assert tx in validator.update_position({tx}, peers, 0.5)
+        assert a_keeps(0.5)
         # support 3/4 < 0.8 -> dropped
-        assert tx not in validator.update_position({tx}, peers, 0.8)
+        assert not a_keeps(0.8)
 
     def test_validation_signing(self):
         validator = Validator("v", UNL.of(["v"]), active())

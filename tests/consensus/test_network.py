@@ -57,6 +57,26 @@ class TestDeliveryArray:
         assert not delivered[2, 0] and not delivered[3, 1]
 
 
+    def test_partition_mask_matches_pairwise_rule(self, rng):
+        """Unlisted validators share one "no group" id, a validator listed
+        twice takes its last group, and a link is cut exactly when the ids
+        differ."""
+        names = [f"v{i}" for i in range(8)]
+        validators = [make(name, active()) for name in names]
+        for _ in range(30):
+            partitions = [
+                {n for n in names if rng.random() < 0.4}
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            model = NetworkModel(base_loss=0.0, partitions=partitions)
+            delivered = model.delivery_array(validators, rng)
+            for i, a in enumerate(names):
+                for j, b in enumerate(names):
+                    assert delivered[i, j] == (
+                        i != j and not model._partitioned(a, b)
+                    )
+
+
 class TestDeliveryMatrixConsistency:
     def test_dict_form_agrees_on_structure(self, rng):
         """The dict API (used in docs/tests) and the vectorized array agree
