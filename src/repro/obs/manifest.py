@@ -87,6 +87,16 @@ class RunContext:
         self.events[name] = self.events.get(name, 0) + delta
         METRICS.count(name, delta)
 
+    def absorb(self, events: Dict[str, int]) -> None:
+        """Fold in the events one shard counted.
+
+        Only ``events`` grows: the shard's :meth:`count` calls already
+        reached :data:`METRICS`, in the parent's live registry or in the
+        worker snapshot the parent absorbs.
+        """
+        for name, delta in events.items():
+            self.events[name] = self.events.get(name, 0) + delta
+
 
 #: Process-wide run context.
 RUN = RunContext()
@@ -145,9 +155,9 @@ def input_hashes(request: Any) -> List[str]:
     if not archive:
         return []
     if not os.path.exists(archive):
-        from repro.errors import AnalysisError
+        from repro.errors import MissingInputError
 
-        raise AnalysisError(f"archive not found: {archive}")
+        raise MissingInputError(f"archive not found: {archive}")
     sha256, _size = file_sha256(archive)
     return [f"sha256:{sha256}"]
 

@@ -7,7 +7,7 @@ Execution model for an artifact with a :class:`ShardedCompute` contract:
 3. each shard is submitted to the **persistent warm worker pool**
    (:mod:`repro.parallel.pool` — spawned lazily once per process, reused
    by every later call) whose worker applies ``compute_shard`` and
-   returns ``(partial, metrics snapshot, trace snapshot)``;
+   returns ``(partial, metrics snapshot, trace snapshot, run events)``;
 4. ``merge(partials, context)`` reduces in the parent, in shard order.
 
 Failure handling reuses the node's retry policy: a shard whose worker
@@ -23,9 +23,11 @@ Each shard runs inside a ``parallel.<artifact>.shard`` span, whose
 duration lands in the worker's :data:`repro.obs.metrics.METRICS` timer
 of that name; worker snapshots are absorbed into the parent registry
 when profiling is enabled, so ``--profile fork_threshold --jobs 4``
-reports the same timer names as a serial run.  Resubmits and serial
-fallbacks are run events (``parallel.<artifact>.resubmits`` /
-``.serial_fallbacks``).
+reports the same timer names as a serial run.  The run events a shard
+counts (a degraded close, a round retry) are folded into the parent's
+``RUN``, so a sharded manifest's ``events`` equal the serial run's.
+Resubmits and serial fallbacks are run events of their own
+(``parallel.<artifact>.resubmits`` / ``.serial_fallbacks``).
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def _call_shard(
 ):
     """Apply one shard function; runs in the worker (or as the parent's
     last-resort fallback).  Returns (partial, metrics snapshot, trace
-    snapshot)."""
+    snapshot, run events); the caller folds the events into its ``RUN``."""
     fn, shard, profile, trace, name, index = payload
     if profile:
         # Forked workers inherit the parent's live registry; reset it so
@@ -122,11 +124,17 @@ def _call_shard(
         # span so the absorbed trace shows where each shard ran.
         TRACER.reset()
         TRACER.enable()
-    with span(f"parallel.{name}.shard", shard=index):
-        partial = fn(shard)
+    # Collect exactly this shard's run events: a forked worker inherits
+    # the parent's, and a warm worker keeps the previous shard's.
+    outer, RUN.events = RUN.events, {}
+    try:
+        with span(f"parallel.{name}.shard", shard=index):
+            partial = fn(shard)
+    finally:
+        events, RUN.events = RUN.events, outer
     snapshot = METRICS.snapshot() if profile else None
     spans = TRACER.snapshot() if trace else None
-    return partial, snapshot, spans
+    return partial, snapshot, spans, events
 
 
 def _start_method() -> str:
@@ -192,12 +200,13 @@ def map_shards(
             wait(futures)
             for future, index in futures.items():
                 try:
-                    partial, snapshot, spans = future.result()
+                    partial, snapshot, spans, events = future.result()
                 except Exception as exc:  # worker raise or pool death
                     broken = broken or isinstance(exc, BrokenProcessPool)
                     failed.append(index)
                     continue
                 results[index] = partial
+                RUN.absorb(events)
                 METRICS.count(f"parallel.{name}.shards")
                 if snapshot:
                     METRICS.absorb(snapshot)
@@ -212,9 +221,10 @@ def map_shards(
                     # The shard span lands in the live parent tracer and
                     # registry, so profile/trace stay False here.
                     RUN.count(f"parallel.{name}.serial_fallbacks")
-                    results[index] = _call_shard(
+                    results[index], _, _, events = _call_shard(
                         (fn, shards[index], False, False, name, index)
-                    )[0]
+                    )
+                    RUN.absorb(events)
                 else:
                     RUN.count(f"parallel.{name}.resubmits")
                     pending.append(index)

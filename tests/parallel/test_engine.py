@@ -9,14 +9,17 @@ finds itself in a different process.  That way the engine's last-resort
 from __future__ import annotations
 
 import argparse
+import json
 import multiprocessing
 import os
 
 import pytest
 
+from repro.cli import main
 from repro.node import RetryPolicy
 from repro.obs.manifest import RUN
 from repro.obs.metrics import METRICS
+from repro.obs.trace import TRACER
 from repro.parallel import pool
 from repro.parallel.engine import (
     effective_jobs,
@@ -118,6 +121,11 @@ def _crash_in_workers(shard):
     return value * value
 
 
+def _count_event(value):
+    RUN.count("shard.event", value)
+    return value
+
+
 class TestMapShards:
     def test_results_come_back_in_shard_order(self):
         values = list(range(11))
@@ -147,6 +155,22 @@ class TestMapShards:
             assert RUN.events == expected
             for name, count in expected.items():
                 assert METRICS.counters[name] == count
+        finally:
+            RUN.reset()
+            METRICS.reset()
+            METRICS.enabled = was_enabled
+
+    def test_worker_events_reach_the_parent_once(self):
+        was_enabled = METRICS.enabled
+        METRICS.reset()
+        METRICS.enable()
+        RUN.reset()
+        try:
+            assert map_shards("t", _count_event, [1, 2, 3], 2) == [1, 2, 3]
+            # The absorbed snapshots carry the counter; folding the events
+            # into RUN must not count it in METRICS a second time.
+            assert RUN.events == {"shard.event": 6}
+            assert METRICS.counters["shard.event"] == 6
         finally:
             RUN.reset()
             METRICS.reset()
@@ -236,3 +260,37 @@ def test_warm_pool_persists_and_reshapes():
     pool.discard(reshaped)
     assert not pool.warm_pool_alive()
     pool.shutdown()  # idempotent
+
+
+class TestShardedManifest:
+    def test_jobs_manifest_events_equal_serial(self, tmp_path):
+        """A degraded sweep records the same events and counters whether
+        it runs serially or on two workers; only the execution counters
+        (``parallel.*``) differ."""
+        def cold():
+            TRACER.disable()
+            TRACER.reset()
+            METRICS.disable()
+            METRICS.reset()
+
+        manifests = []
+        try:
+            for jobs in ("1", "2"):
+                cold()
+                out = tmp_path / f"sweep-{jobs}.txt"
+                assert main(["fork_threshold", "--rounds", "30", "--seed", "3",
+                             "--trace", "--jobs", jobs, "--out", str(out)]) == 0
+                with open(f"{out}.manifest.json", encoding="utf-8") as handle:
+                    manifests.append(json.load(handle))
+        finally:
+            cold()
+        serial, sharded = manifests
+        assert serial["events"]["node.degraded_closes"] > 0
+        assert sharded["events"] == serial["events"]
+
+        def counters(manifest):
+            return {name: count
+                    for name, count in manifest["metrics"]["counters"].items()
+                    if not name.startswith("parallel.")}
+
+        assert counters(sharded) == counters(serial)
