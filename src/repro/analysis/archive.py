@@ -17,8 +17,8 @@ The format is deliberately boring and stable:
 Durability contract (PR 4): writes are atomic (temp + fsync + rename) and
 sealed with a ``<path>.sha256`` sidecar manifest that reads verify first;
 reads run **strict** by default — any malformed line is a typed
-:class:`IngestError` carrying its 1-based line number — or **lenient**,
-where schema-rejected lines are diverted to a
+:class:`~repro.errors.SchemaError` carrying its 1-based line number — or
+**lenient**, where schema-rejected lines are diverted to a
 ``<path>.quarantine.jsonl`` sidecar (reason attached) up to a bounded
 bad-line fraction.  Truncated gzip streams are reported distinctly from a
 file that was never gzip at all.
@@ -43,8 +43,10 @@ from repro.errors import (
     AnalysisError,
     IngestError,
     InvalidCurrencyError,
+    MissingInputError,
     QuarantineOverflowError,
     ReproError,
+    SchemaError,
 )
 from repro.ledger.accounts import AccountID
 from repro.ledger.currency import Currency
@@ -246,7 +248,7 @@ def iter_archive(
     A ``<path>.sha256`` sidecar manifest, when present, is verified before
     anything is parsed (:class:`~repro.errors.IntegrityError` on
     mismatch).  In ``strict`` mode (default) the first malformed or
-    schema-invalid line raises :class:`IngestError` with its 1-based line
+    schema-invalid line raises :class:`SchemaError` with its 1-based line
     number.  In lenient mode bad lines are diverted — reason attached — to
     ``quarantine_path`` (default ``<path>.quarantine.jsonl``) until their
     fraction exceeds ``max_bad_fraction``, at which point the read aborts
@@ -255,7 +257,7 @@ def iter_archive(
     :data:`repro.obs.metrics.METRICS` when profiling is on.
     """
     if not os.path.exists(path):
-        raise AnalysisError(f"archive not found: {path}")
+        raise MissingInputError(f"archive not found: {path}")
     verify_manifest(path)
     stats = stats if stats is not None else IngestStats()
     quarantine = (
@@ -278,10 +280,14 @@ def iter_archive(
         try:
             header = json.loads(header_line)
         except json.JSONDecodeError:
-            raise AnalysisError("archive has no valid header line") from None
+            raise SchemaError(
+                "archive has no valid header line", line_number=1
+            ) from None
         if not isinstance(header, dict) or header.get("version") != ARCHIVE_VERSION:
             version = header.get("version") if isinstance(header, dict) else header
-            raise AnalysisError(f"unsupported archive version {version!r}")
+            raise SchemaError(
+                f"unsupported archive version {version!r}", line_number=1
+            )
         expected = int(header.get("records", -1))
         base_total = stats.total  # caller may pass a cumulative stats object
         line_number = 1  # the header
@@ -302,7 +308,7 @@ def iter_archive(
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 if strict:
-                    raise IngestError(
+                    raise SchemaError(
                         f"archive {path} line {line_number}: invalid JSON: "
                         f"{exc}",
                         line_number=line_number,
@@ -320,7 +326,7 @@ def iter_archive(
                     reason = f"decode:{type(exc).__name__}: {exc}"
             if reason is not None:
                 if strict:
-                    raise IngestError(
+                    raise SchemaError(
                         f"archive {path} line {line_number}: {reason}",
                         line_number=line_number,
                     )

@@ -105,8 +105,17 @@ class IngestError(AnalysisError):
         self.line_number = line_number
 
 
+class SchemaError(IngestError):
+    """Strict ingest met an archive line that fails parsing or schema
+    validation (the header counts as line 1)."""
+
+
 class QuarantineOverflowError(IngestError):
     """Lenient ingest aborted: too large a fraction of lines was bad."""
+
+
+class MissingInputError(AnalysisError):
+    """A named input file (an archive) does not exist."""
 
 
 class IntegrityError(AnalysisError):
@@ -118,3 +127,14 @@ class IntegrityError(AnalysisError):
     handlers keep working; it is a :class:`ReproError` like everything
     else.)
     """
+
+
+#: Input errors no retry can heal: the input is corrupt, absent, malformed
+#: under strict ingest, or beyond the quarantine tolerance, so every retry
+#: would fail the same way.  Retry loops raise these on the first attempt.
+PERMANENT_ERRORS = (
+    IntegrityError,
+    MissingInputError,
+    SchemaError,
+    QuarantineOverflowError,
+)

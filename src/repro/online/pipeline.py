@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Optional
 from repro.analysis.archive import ARCHIVE_VERSION
 from repro.durability.atomic import atomic_write, verify_manifest
 from repro.durability.ingest import QuarantineWriter
-from repro.errors import AnalysisError, IngestError
+from repro.errors import IngestError, MissingInputError, SchemaError
 from repro.obs.metrics import METRICS
 from repro.online.events import (
     KIND_PAYMENT,
@@ -130,7 +130,7 @@ def archive_event_source(
     import gzip
 
     if not os.path.exists(path):
-        raise AnalysisError(f"archive not found: {path}")
+        raise MissingInputError(f"archive not found: {path}")
     verify_manifest(path)
     if path.endswith(".gz"):
         handle = gzip.open(path, "rt", encoding="utf-8", errors="replace")
@@ -141,11 +141,15 @@ def archive_event_source(
         try:
             header = json.loads(header_line)
         except ValueError:
-            raise AnalysisError(f"archive {path} has no valid header") from None
+            raise SchemaError(
+                f"archive {path} has no valid header", line_number=1
+            ) from None
         if not isinstance(header, dict) or header.get("version") != (
             ARCHIVE_VERSION
         ):
-            raise AnalysisError(f"archive {path}: unsupported version")
+            raise SchemaError(
+                f"archive {path}: unsupported version", line_number=1
+            )
         seq = 0
         for line in handle:
             if not line.strip():

@@ -4,11 +4,16 @@ The supervisor owns the pipeline lifecycle the way the node layer owns
 consensus retries — and it reads its restart budget and backoff from the
 same :class:`repro.node.RetryPolicy` (``max_retries`` restarts, delays of
 base × multiplier^attempt, capped, jittered, in real seconds).
-Three failure modes, three behaviours:
+Four failure modes, four behaviours:
 
-* **crash** (the pipeline raises): recover from disk and restart, with
-  exponential backoff and a bounded restart budget; every restart is
-  counted (``online.supervisor.restarts``) and surfaced in status.json;
+* **permanent input error** (one of :data:`repro.errors.PERMANENT_ERRORS`:
+  a corrupt or missing archive, a malformed header): raise it on the
+  first attempt — a restart would read the same bytes and fail the same
+  way;
+* **crash** (the pipeline raises anything else): recover from disk and
+  restart, with exponential backoff and a bounded restart budget; every
+  restart is counted (``online.supervisor.restarts``) and surfaced in
+  status.json;
 * **stall** (events in flight but the heartbeat stops advancing): raise
   :class:`SupervisorError` *loudly* instead of restarting — a wedged
   thread cannot be safely torn down in-process, and two writers on one
@@ -30,7 +35,7 @@ from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import IngestError
+from repro.errors import PERMANENT_ERRORS, IngestError
 from repro.node import RetryPolicy
 from repro.obs.metrics import METRICS
 from repro.online.events import IngestEvent
@@ -123,6 +128,8 @@ class IngestSupervisor:
             if "digest" in outcome:
                 return outcome["digest"], pipeline
             error = outcome.get("error")
+            if isinstance(error, PERMANENT_ERRORS):
+                raise error
             self.restarts += 1
             METRICS.count("online.supervisor.restarts")
             budget = self.retry.max_retries

@@ -2,10 +2,15 @@
 
 import dataclasses
 import itertools
+import os
+import shutil
 import time
 
 import pytest
 
+from repro.cli import main
+from repro.durability.atomic import manifest_path
+from repro.errors import IntegrityError, MissingInputError
 from repro.node import RetryPolicy
 from repro.obs.metrics import METRICS
 from repro.online import IngestConfig, IngestPipeline, archive_event_source
@@ -100,6 +105,60 @@ class TestRestarts:
         with pytest.raises(SupervisorError, match="budget exhausted"):
             supervisor.run()
         assert supervisor.restarts == 3
+
+
+def flip_one_byte(archive_path, tmp_path):
+    """A copy of the archive and its sidecar with one byte flipped."""
+    copy = str(tmp_path / "flipped.jsonl.gz")
+    shutil.copy(archive_path, copy)
+    shutil.copy(manifest_path(archive_path), manifest_path(copy))
+    with open(copy, "r+b") as handle:
+        handle.seek(os.path.getsize(copy) // 2)
+        byte = handle.read(1)
+        handle.seek(-1, os.SEEK_CUR)
+        handle.write(bytes([byte[0] ^ 0x01]))
+    return copy
+
+
+class TestPermanentInputErrors:
+    """A corrupt or absent input cannot heal by retrying: it fails on the
+    first attempt, with its reason, and spends no restart."""
+
+    @pytest.mark.parametrize("damage,error,reason", [
+        ("flipped", IntegrityError, "sha256 mismatch"),
+        ("missing", MissingInputError, "archive not found"),
+    ])
+    def test_fails_on_attempt_one(self, archive_path, tmp_path, damage, error,
+                                  reason):
+        path = (flip_one_byte(archive_path, tmp_path) if damage == "flipped"
+                else str(tmp_path / "absent.jsonl.gz"))
+        slept = []
+        supervisor = IngestSupervisor(
+            config(tmp_path),
+            lambda start: archive_event_source(path, start),
+            retry=FAST_RETRY,
+            poll_interval=0.01,
+            sleep=slept.append,
+        )
+        with pytest.raises(error, match=reason):
+            supervisor.run()
+        assert supervisor.restarts == 0
+        assert slept == []
+        assert METRICS.counters.get("online.supervisor.restarts", 0) == 0
+
+    @pytest.mark.parametrize("damage", ["flipped", "missing"])
+    def test_cli_exits_once_with_the_reason(self, archive_path, tmp_path,
+                                            capsys, damage):
+        path = (flip_one_byte(archive_path, tmp_path) if damage == "flipped"
+                else str(tmp_path / "absent.jsonl.gz"))
+        code = main(["ingest", "--archive", path,
+                     "--state-dir", str(tmp_path / "state"), "--no-fsync"])
+        stderr = capsys.readouterr().err
+        assert code == 1
+        assert ("sha256 mismatch" if damage == "flipped"
+                else "archive not found") in stderr
+        assert "restart" not in stderr
+        assert METRICS.counters.get("online.supervisor.restarts", 0) == 0
 
 
 class TestWatchdog:
