@@ -1,13 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-node profile-fig3 trace-fig3 contracts
+.PHONY: test bench-node profile-fig3 trace-fig3 contracts
 
 test:
 	$(PYTHON) -m pytest tests -q
-
-bench:
-	$(PYTHON) -m pytest benchmarks -q
 
 # Engine + path-finder throughput; writes BENCH_node.json.
 bench-node:

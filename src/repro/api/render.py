@@ -1,6 +1,6 @@
 """Plain-text rendering of the paper's tables and figures.
 
-Benchmarks print these so a terminal run shows the same rows/series the
+The CLI prints these so a terminal run shows the same rows/series the
 paper reports — counts per validator (Fig. 2), IG bars (Fig. 3), currency
 rankings (Fig. 4), survival samples (Fig. 5), path histograms (Fig. 6),
 hub profiles (Fig. 7), and Table II.

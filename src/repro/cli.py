@@ -105,6 +105,7 @@ def cmd_artifact(args: argparse.Namespace) -> int:
         TRACER.reset()
         TRACER.enable()
     if trace_path:
+        METRICS.reset()
         METRICS.enable()
     try:
         started_at = time.time()

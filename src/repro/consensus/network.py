@@ -8,14 +8,14 @@ proposals and fail to get their own out in time — the paper attributes the
 zero-valid-page validators partly to exactly this ("their latency made it
 almost impossible to participate").
 
-The model also supports partitions, used by the robustness ablation bench
-to study how consensus availability degrades when validators are cut off.
+The model also supports partitions, used by the chaos drills to study how
+consensus availability degrades when validators are cut off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Set
 
 import numpy as np
 
@@ -65,8 +65,10 @@ class NetworkModel:
         """Vectorized delivery sampling: ``out[i, j]`` is True when the
         proposal of participant ``i`` reaches participant ``j``.
 
-        Same semantics as :meth:`delivery_matrix` but sampled as one numpy
-        draw, which is what lets the engine run tens of thousands of rounds.
+        Only pairs on the same ledger instance (network id) and in the same
+        declared partition can talk; forked validators gossip among
+        themselves.  Every link is sampled in one numpy draw, which is what
+        lets the engine run tens of thousands of rounds.
 
         ``extra_loss`` and ``blocked`` are chaos-injection hooks: additional
         loss probability applied to every link, and speakers whose outgoing
@@ -90,35 +92,4 @@ class NetworkModel:
                 if speaker.name in blocked:
                     delivered[i, :] = False
         np.fill_diagonal(delivered, False)
-        return delivered
-
-    def delivery_matrix(
-        self,
-        participants: Sequence[Validator],
-        rng: np.random.Generator,
-    ) -> Dict[Tuple[str, str], bool]:
-        """Sample which (speaker, listener) proposal deliveries succeed.
-
-        Only pairs on the same ledger instance (network id) can talk; forked
-        validators gossip among themselves.
-        """
-        delivered: Dict[Tuple[str, str], bool] = {}
-        for speaker in participants:
-            for listener in participants:
-                if speaker.name == listener.name:
-                    continue
-                if speaker.network_id != listener.network_id:
-                    delivered[(speaker.name, listener.name)] = False
-                    continue
-                if self._partitioned(speaker.name, listener.name):
-                    delivered[(speaker.name, listener.name)] = False
-                    continue
-                loss = (
-                    self.base_loss
-                    + self._loss_for(speaker)
-                    + self._loss_for(listener)
-                )
-                delivered[(speaker.name, listener.name)] = rng.random() >= min(
-                    0.98, loss
-                )
         return delivered

@@ -258,3 +258,40 @@ class TestEngine:
         by_name = {v.name: v for v in validators}
         assert seen
         assert all(v.verify(by_name[v.validator].keypair.public) for v in seen)
+
+
+def ten_on_one_unl(n_reliable, quorum, seed):
+    """Ten validators sharing one UNL: ``n_reliable`` active, the rest
+    offline."""
+    names = [f"v{i}" for i in range(10)]
+    unl = UNL.of(names)
+    validators = [
+        Validator(name, unl, active(availability=0.97) if i < n_reliable
+                  else offline(availability=0.05))
+        for i, name in enumerate(names)
+    ]
+    return ConsensusEngine(validators, master_unl=unl, quorum=quorum,
+                           seed=seed)
+
+
+class TestRobustnessSweeps:
+    """Section IV's concern: availability rests on a few reliable
+    validators, and a higher quorum buys safety with liveness."""
+
+    def test_availability_falls_as_the_quorum_rises(self):
+        availability = [
+            ten_on_one_unl(7, quorum, seed=3).run(120).availability
+            for quorum in (0.5, 0.6, 0.7, 0.8, 0.9)
+        ]
+        assert all(a >= b - 0.05 for a, b in zip(availability,
+                                                  availability[1:]))
+        assert availability[0] > availability[-1]
+
+    def test_losing_active_validators_halts_an_80pct_quorum(self):
+        availability = {
+            n: ten_on_one_unl(n, 0.8, seed=4).run(120).availability
+            for n in (10, 6, 5)
+        }
+        assert availability[10] > 0.9
+        assert availability[6] < 0.2
+        assert availability[5] < 0.05

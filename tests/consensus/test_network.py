@@ -75,19 +75,3 @@ class TestDeliveryArray:
                     assert delivered[i, j] == (
                         i != j and not model._partitioned(a, b)
                     )
-
-
-class TestDeliveryMatrixConsistency:
-    def test_dict_form_agrees_on_structure(self, rng):
-        """The dict API (used in docs/tests) and the vectorized array agree
-        on hard constraints: diagonal, cross-network, partitions."""
-        validators = [
-            make("a", active()),
-            make("b", forked(network_id=1)),
-            make("c", active()),
-        ]
-        model = NetworkModel(base_loss=0.0)
-        matrix = model.delivery_matrix(validators, rng)
-        assert ("a", "a") not in matrix
-        assert matrix[("a", "b")] is False  # cross network
-        assert matrix[("b", "c")] is False

@@ -81,6 +81,7 @@ class TestIncentiveSimulation:
         sizes = [size for _, size, _ in results]
         assert sizes == sorted(sizes)
         assert sizes[-1] > sizes[0]
+        assert sizes[-1] > 30  # a real population emerges
 
     def test_decentralization_improves_with_population(self):
         results = compare_policies([0.0, 0.5], seed=4, epochs=30)

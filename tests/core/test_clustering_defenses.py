@@ -33,6 +33,7 @@ class TestActivationClustering:
     def test_clusters_group_by_funder(self, history):
         clusters = activation_clusters(history.records, min_size=2)
         assert clusters  # heavy XRP senders activate many receivers
+        assert activation_clusters(history.records, min_size=3)
         for funder, accounts in clusters:
             assert len(accounts) >= 2
             assert funder not in accounts

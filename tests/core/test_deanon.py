@@ -178,10 +178,25 @@ class TestInformationGain:
         assert lowest.percent < 35.0
 
     def test_strict_vs_sender_mode(self, deanonymizer):
-        fl = FIGURE3_FEATURE_LISTS[-1]
-        strict = deanonymizer.information_gain(fl, strict=True)
-        sender = deanonymizer.information_gain(fl, strict=False)
-        assert sender.identified >= strict.identified
+        for fl in (
+            FeatureList(),
+            FeatureList(AmountResolution.LOW, TimeResolution.DAYS, True, True),
+            FIGURE3_FEATURE_LISTS[-1],
+        ):
+            strict = deanonymizer.information_gain(fl, strict=True)
+            sender = deanonymizer.information_gain(fl, strict=False)
+            assert sender.identified >= strict.identified
+
+    def test_low_resolution_ig_does_not_grow_with_history(self, history):
+        """Fingerprints collide more as the ledger grows."""
+        low = FeatureList(AmountResolution.LOW, TimeResolution.DAYS, True, True)
+        fractions = [
+            Deanonymizer(TransactionDataset.from_records(
+                history.records[: len(history.records) // divisor]
+            )).information_gain(low).fraction
+            for divisor in (8, 1)
+        ]
+        assert fractions[0] >= fractions[1] - 0.02
 
     def test_figure3_order(self, deanonymizer):
         results = deanonymizer.figure3()

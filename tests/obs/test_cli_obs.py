@@ -76,6 +76,19 @@ class TestTraceFlag:
         assert not TRACER.enabled
         assert not METRICS.enabled
 
+    def test_back_to_back_traced_runs_count_alike(self, capsys, tmp_path):
+        """A traced run's manifest counts only that run's work."""
+        sweep = ["fork_threshold", "--rounds", "30", "--seed", "3"]
+        counters = []
+        for run in ("first", "second"):
+            trace = tmp_path / f"{run}.jsonl"
+            assert main([*sweep, "--trace", str(trace)]) == 0
+            manifest = _load(tmp_path / f"{run}.jsonl.manifest.json")
+            counters.append(manifest["metrics"]["counters"])
+        capsys.readouterr()
+        for name in ("consensus.rounds", "node.round_retries"):
+            assert counters[0][name] == counters[1][name] > 0
+
 
 class TestRunManifest:
     def test_out_run_emits_valid_manifest(self, capsys, tmp_path):

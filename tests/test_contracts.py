@@ -1,14 +1,16 @@
 """The contract runner's case table, checked without computing anything.
 
-``tools/contracts.py`` only runs in its own CI job, where a renamed flag
-or an orphaned golden would surface after minutes of compute.  These
-checks catch both in seconds.
+``tools/contracts.py`` only runs in its own CI job, where a renamed flag,
+an orphaned golden or a ``--update`` that breaks a claim would surface
+after minutes of compute.  These checks catch all three in seconds, and
+hold EXPERIMENTS.md to the goldens it quotes.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
+import re
 import sys
 
 import pytest
@@ -42,6 +44,46 @@ def test_every_golden_belongs_to_exactly_one_case():
         for name in os.listdir(os.path.join(examples, folder))
     )
     assert sorted(owned) == on_disk
+
+
+def _read(relative):
+    with open(os.path.join(ROOT, relative), encoding="utf-8") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize(
+    "case", [case for case in contracts.CASES if case.golden and case.claims],
+    ids=lambda c: c.name,
+)
+def test_claims_hold_on_the_committed_golden(case):
+    report = _read(case.golden)
+    assert [
+        message for message, holds in case.claims
+        if not contracts.claim_holds(holds, report)
+    ] == []
+
+
+def test_a_report_that_does_not_parse_fails_its_claims():
+    for case in contracts.CASES:
+        for message, holds in case.claims:
+            assert not contracts.claim_holds(holds, ""), message
+
+
+def test_experiments_quotes_only_numbers_its_goldens_print():
+    """Each bold measured value sits verbatim in a golden its section cites."""
+    sections = _read("EXPERIMENTS.md").split("\n## ")[1:]
+    quoting = 0
+    for section in sections:
+        quoted = re.findall(r"\*\*(.+?)\*\*", section)
+        if not quoted:
+            continue
+        quoting += 1
+        goldens = re.findall(r"`(examples/[\w/.-]+\.txt)`", section)
+        title = section.splitlines()[0]
+        assert goldens, f"{title}: quotes numbers but cites no golden"
+        rendered = "".join(_read(golden) for golden in goldens)
+        assert [q for q in quoted if q not in rendered] == [], title
+    assert quoting >= 8
 
 
 def test_case_names_are_unique():

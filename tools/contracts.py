@@ -42,7 +42,7 @@ import tempfile
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -107,6 +107,29 @@ def pays_in_liveness(report: str) -> bool:
     return liveness is not None and int(liveness.group(1)) > 0
 
 
+def on(parse: Callable[[str], Any],
+       holds: Callable[[Any], bool]) -> Callable[[str], bool]:
+    """A claim predicate: ``holds`` over what ``parse`` reads off the report."""
+    return lambda report: holds(parse(report))
+
+
+def fork_sweep(report: str) -> Tuple[float, Dict[float, int]]:
+    """(reported fork threshold, forks per overlap) off the sweep table."""
+    threshold = re.search(
+        r"empirical fork threshold: forks up to overlap (\d+\.\d+)", report
+    ).group(1)
+    rows = re.findall(r"^\s+\d+\s+(\d+\.\d+)\s+(\d+)(?:\s+\d+){3}$",
+                      report, re.MULTILINE)
+    return float(threshold), {float(o): int(n) for o, n in rows}
+
+
+def forks_stop_at_threshold(sweep: Tuple[float, Dict[float, int]]) -> bool:
+    threshold, forks = sweep
+    return forks[threshold] > 0 and all(
+        n == 0 for overlap, n in forks.items() if overlap > threshold
+    )
+
+
 HEALTH_DIMENSIONS = (
     "Wallet liquidity",
     "IOU issuer concentration",
@@ -120,6 +143,157 @@ PAPER_PAYMENTS, PAPER_SEED = 4000, 7
 PAPER = ("--payments", str(PAPER_PAYMENTS), "--seed", str(PAPER_SEED))
 CASCADE = ("--payments", "2000", "--seed", "7")
 
+# paper artifacts -------------------------------------------------------------
+# Each reader turns one rendered report back into the numbers its claims
+# test.
+
+
+def fig2_active_counts(report: str) -> List[int]:
+    """Per period, the non-Ripple validators whose valid pages reach half
+    the median R1–R5 count (``PeriodReport.active_validators``)."""
+    counts = []
+    for block in report.split("Figure 2 — ")[1:]:
+        valid = dict(re.findall(r"^  (\S+)\s+\d+\s+(\d+)$", block,
+                                re.MULTILINE))
+        labs = sorted(int(valid[f"R{i}"]) for i in range(1, 6))
+        counts.append(sum(
+            1 for name, pages in valid.items()
+            if not re.fullmatch(r"R[1-5]", name) and int(pages) >= labs[2] / 2
+        ))
+    return counts
+
+
+def fig3_gains(report: str) -> Dict[str, float]:
+    return {label: float(percent) for label, percent in re.findall(
+        r"^  (<[^>]+>)\s+(\d+\.\d+)%", report, re.MULTILINE)}
+
+
+def fig4_ranking(report: str) -> List[Tuple[str, float, bool]]:
+    """(code, percent share, unrecognized) per row, most used first."""
+    return [(code, float(share), bool(tag)) for code, share, tag in re.findall(
+        r"^  (\w+)\s+\d+\s+\(\s*(\d+\.\d+)%\)(  \[unrecognized\])?$",
+        report, re.MULTILINE)]
+
+
+def fig5_survival(report: str) -> Dict[str, Dict[float, float]]:
+    """P(amount > x) per curve and sampled x."""
+    header, *rows = report.splitlines()[1:]
+    names = header.split()[1:]
+    curves: Dict[str, Dict[float, float]] = {name: {} for name in names}
+    for row in rows:
+        x, *values = row.split()
+        for name, value in zip(names, values):
+            curves[name][float(x)] = float(value)
+    return curves
+
+
+def fig6_shares(unit: str) -> Callable[[str], Dict[int, Tuple[int, float]]]:
+    """A reader of (payments, percent of multi-hop) per count of ``unit``,
+    hops or parallel paths."""
+    return lambda report: {
+        int(k): (int(n), float(share)) for k, n, share in re.findall(
+            rf"^\s+(\d+) {unit}\s+(\d+)\s+\(\s*(\d+\.\d)%\)$",
+            report, re.MULTILINE)
+    }
+
+
+class Relay(NamedTuple):
+    label: str
+    relays: int
+    trust_in: float
+    trust_out: float
+    balance: float
+    gateway: bool
+
+
+def fig7_relays(report: str) -> List[Relay]:
+    return [
+        Relay(label, int(relays), float(trust_in), float(trust_out),
+              float(balance), gateway == "yes")
+        for label, relays, trust_in, trust_out, balance, gateway in re.findall(
+            r"^  (\S.*?)\s+(\d+)\s+(\S+)\s+(\S+)\s+(\S+)\s+(yes|no)$",
+            report, re.MULTILINE)
+    ]
+
+
+def near_paper_shares(ranking: List[Tuple[str, float, bool]]) -> bool:
+    shares = {code: share for code, share, _ in ranking}
+    return all(abs(shares[code] - paper) <= 1.5
+               for code, paper in FIG4_PAPER_SHARES.items())
+
+
+def split_gateways(relays: List[Relay]) -> Tuple[List[Relay], List[Relay]]:
+    return ([r for r in relays if r.gateway],
+            [r for r in relays if not r.gateway])
+
+
+def hubs_lead(relays: List[Relay]) -> bool:
+    gateways, _ = split_gateways(relays)
+    return (
+        {relays[0].label, relays[1].label}
+        == {"rp2PaY...X1mEx7", "r42Ccn...Xqm5M3"}
+        and not relays[0].gateway and not relays[1].gateway
+        and relays[0].relays > 1.3 * max(g.relays for g in gateways)
+    )
+
+
+def trust_flows_to_gateways(relays: List[Relay]) -> bool:
+    gateways, others = split_gateways(relays)
+    declaring = sum(1 for g in gateways if g.trust_out > 0)
+    median = sorted(g.trust_in for g in gateways)[len(gateways) // 2]
+    return (
+        bool(others) and all(g.trust_in > 0 for g in gateways)
+        and declaring <= 0.35 * len(gateways)
+        and all(o.trust_in < median for o in others)
+    )
+
+
+def gateways_owe(relays: List[Relay]) -> bool:
+    gateways, others = split_gateways(relays)
+    holding = sum(1 for o in others if o.balance > 0)
+    return (bool(gateways) and bool(others)
+            and all(g.balance < 0 for g in gateways)
+            and holding >= 0.7 * len(others))
+
+
+def offer_shares(report: str) -> Dict[int, float]:
+    shares = re.search(r"^offer concentration: \{(.*)\}$", report,
+                       re.MULTILINE).group(1)
+    return {int(k): float(v) for k, v in re.findall(r"(\d+): ([\d.]+)",
+                                                    shares)}
+
+
+def table2_rows(report: str) -> Dict[str, Tuple[int, int, float]]:
+    """(submitted, delivered, percent rate) per category."""
+    return {category: (int(submitted), int(delivered), float(rate))
+            for category, submitted, delivered, rate in re.findall(
+                r"^  (\S+)\s+(\d+)\s+(\d+)\s+(\d+\.\d)%$", report,
+                re.MULTILINE)}
+
+
+def defense_costs(report: str) -> Dict[str, float]:
+    return {name: float(value.replace(",", "")) for name, value in re.findall(
+        r"^      (\w+): ([\d,.]+)$", report, re.MULTILINE)}
+
+
+def population_months(report: str) -> List[int]:
+    return [int(month) for month in re.findall(
+        r"^    month\s+(\d+)\s+\d+$", report, re.MULTILINE)]
+
+
+def ascending(values: List[float]) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+FULL = "<Am; Tsc; C; D>"
+#: Paper shares (appendix A) the measured Fig. 4 shares must be within
+#: 1.5 points of.
+FIG4_PAPER_SHARES = {"XRP": 49.0, "BTC": 4.7, "USD": 3.8, "CNY": 3.3,
+                     "JPY": 2.1, "EUR": 0.4}
+#: The scale of the two claims that 4000 payments are too few for.
+PAPER_30K = ("--payments", "30000", "--seed", str(PAPER_SEED))
+
+
 CASES: Tuple[Case, ...] = (
     Case(
         "amores-cachin-delay",
@@ -130,7 +304,8 @@ CASES: Tuple[Case, ...] = (
             ("records conflicting validated pages (FORK events)",
              lambda r: re.search(r"FORK sequence \d+", r) is not None),
             ("safety count is nonzero",
-             lambda r: re.search(r"safety violations\s+0", r) is None),
+             lambda r: re.search(r"safety violations\s+[1-9]", r)
+             is not None),
         ),
     ),
     Case(
@@ -149,8 +324,8 @@ CASES: Tuple[Case, ...] = (
         ("fork_threshold", "--rounds", "60"),
         golden="examples/scenarios/fork_threshold.txt",
         claims=(
-            ("the sweep locates an empirical fork threshold",
-             lambda r: "empirical fork threshold" in r),
+            ("the sweep forks at its reported threshold overlap and at no "
+             "larger one", on(fork_sweep, forks_stop_at_threshold)),
         ),
         jobs=(2, 4),
     ),
@@ -210,12 +385,173 @@ CASES: Tuple[Case, ...] = (
             ("some validators sign pages that never reach the main ledger",
              lambda r: re.search(r"^\s+\S+\s+[1-9]\d*\s+0$", r,
                                  re.MULTILINE) is not None),
+            ("active non-Ripple validators per period: Dec'15 2-4, Jul'16 "
+             "8-11, Nov'16 6-9 (paper: 3, 10, 8)",
+             on(fig2_active_counts, lambda n: len(n) == 3 and 2 <= n[0] <= 4
+                and 8 <= n[1] <= 11 and 6 <= n[2] <= 9)),
         ),
     ),
-    Case("fig3", ("fig3", *PAPER), jobs=(4,)),
-    Case("fig5", ("fig5", *PAPER), jobs=(4,)),
-    Case("table2", ("table2", *PAPER), jobs=(4,)),
-    Case("population", ("population", *PAPER), jobs=(4,)),
+    Case(
+        "fig3",
+        ("fig3", *PAPER),
+        golden="examples/figures/fig3.txt",
+        claims=(
+            ("<Am; Tsc; C; D> identifies over 97% (paper: 99.83%)",
+             on(fig3_gains, lambda g: g[FULL] > 97)),
+            ("dropping the currency moves IG by under 2 points",
+             on(fig3_gains, lambda g: abs(g["<Am; Tsc; -; D>"] - g[FULL]) < 2)),
+            ("dropping the destination never raises IG",
+             on(fig3_gains, lambda g: g["<Am; Tsc; C; ->"] <= g[FULL])),
+            ("dropping the timestamp collapses IG below 60% and below "
+             "dropping the amount (paper: 48.84% vs 89.86%)",
+             on(fig3_gains, lambda g: g["<Am; -; C; D>"]
+                < min(60, g["<-; Tsc; C; D>"]))),
+            ("coarsening A and T together never raises IG",
+             on(fig3_gains, lambda g: g["<Ah; Tmn; C; D>"]
+                >= g["<Aa; Thr; C; D>"] >= g["<Al; Tdy; C; D>"])),
+            ("<Al; Tdy; -; -> is one of the two weakest lists "
+             "(paper: the weakest, 1.28%)",
+             on(fig3_gains, lambda g: g["<Al; Tdy; -; ->"]
+                <= sorted(g.values())[1])),
+        ),
+        jobs=(4,),
+    ),
+    Case(
+        "fig4",
+        ("fig4", *PAPER),
+        golden="examples/figures/fig4.txt",
+        claims=(
+            ("XRP tops the ranking at 49 +- 2% (paper: 49%)",
+             on(fig4_ranking, lambda r: r[0][0] == "XRP"
+                and abs(r[0][1] - 49) <= 2)),
+            ("the unrecognized CCK and MTL take ranks 2 and 3",
+             on(fig4_ranking, lambda r: {r[1][0], r[2][0]} == {"CCK", "MTL"}
+                and r[1][2] and r[2][2])),
+            ("well-known currencies rank BTC, USD, CNY, JPY, then EUR",
+             on(fig4_ranking, lambda r: ascending(
+                 [[c for c, _, _ in r].index(code)
+                  for code in ("BTC", "USD", "CNY", "JPY", "EUR")]))),
+            ("shares within 1.5 points of the paper's XRP 49, BTC 4.7, "
+             "USD 3.8, CNY 3.3, JPY 2.1, EUR 0.4%",
+             on(fig4_ranking, near_paper_shares)),
+        ),
+    ),
+    Case(
+        "fig5",
+        ("fig5", *PAPER),
+        golden="examples/figures/fig5.txt",
+        claims=(
+            ("BTC and CCK live in the micro-amount regime: P(> 1) < 0.3",
+             on(fig5_survival, lambda c: c["BTC"][1] < 0.3
+                and c["CCK"][1] < 0.3)),
+            ("MTL is a cliff near 1e9: P(> 1e8) > 0.95, P(> 1e10) < 0.05",
+             on(fig5_survival, lambda c: c["MTL"][1e8] > 0.95
+                and c["MTL"][1e10] < 0.05)),
+            ("XRP spans the range: P(> 1) < 0.95, P(> 100) > 0.05",
+             on(fig5_survival, lambda c: c["XRP"][1] < 0.95
+                and c["XRP"][100] > 0.05)),
+        ),
+        jobs=(4,),
+    ),
+    Case(
+        "fig6",
+        ("fig6", *PAPER),
+        golden="examples/figures/fig6.txt",
+        claims=(
+            ("organic hop counts decrease: 1 > 2 > 3 > 4 hops",
+             on(fig6_shares("hops"), lambda h: ascending(
+                 [h[k][1] for k in (4, 3, 2, 1)]))),
+            ("a 44-hop outlier, and no payment between 12 and 43 hops",
+             on(fig6_shares("hops"), lambda h: h[44][0] >= 1
+                and not any(12 <= k < 44 for k in h))),
+            ("parallel paths: 1 > 2 > 4, with over 2% at 2 and 1% at 3",
+             on(fig6_shares("paths"), lambda p: p[1][1] > p[2][1] > p[4][1]
+                and p[2][1] > 2 and p[3][1] > 1)),
+            ("the MTL spam pins 28 +- 6% at exactly 6 parallel paths and "
+             "under 2% sit at 5 (paper: 34.8%)",
+             on(fig6_shares("paths"), lambda p: abs(p[6][1] - 28) <= 6
+                and p.get(5, (0, 0.0))[1] < 2)),
+        ),
+    ),
+    Case(
+        "fig7",
+        ("fig7", *PAPER),
+        golden="examples/figures/fig7.txt",
+        claims=(
+            ("the non-gateway hubs rp2PaY and r42Ccn top the ranking, the "
+             "first relaying over 1.3x the best gateway",
+             on(fig7_relays, hubs_lead)),
+            ("5-25 of the top 50 are gateways (paper: ~20)",
+             on(fig7_relays, lambda r: len(r) == 50
+                and 5 <= len(split_gateways(r)[0]) <= 25)),
+            ("gateways take incoming trust, at most 35% declare outgoing "
+             "(paper: 3 of 20), and every other account gets less than "
+             "the median gateway", on(fig7_relays, trust_flows_to_gateways)),
+            ("gateways owe (negative balances); at least 70% of the others "
+             "hold credit", on(fig7_relays, gateways_owe)),
+            ("the top 10/50/100 makers place 50 +- 10 / 75 +- 10 / 87 +- 7% "
+             "of offers", on(offer_shares, lambda c: abs(c[10] - 0.50) <= 0.1
+                             and abs(c[50] - 0.75) <= 0.1
+                             and abs(c[100] - 0.87) <= 0.07)),
+        ),
+    ),
+    Case(
+        "table2",
+        ("table2", *PAPER),
+        golden="examples/figures/table2.txt",
+        claims=(
+            ("no cross-currency payment delivers without market makers "
+             "(paper: 0%)", on(table2_rows, lambda t:
+                                t["Cross-currency"][1] == 0)),
+            ("15-55% of single-currency payments deliver (paper: 36.1%)",
+             on(table2_rows, lambda t:
+                15 < t["Single-currency"][2] < 55)),
+            ("total delivery collapses below 25% (paper: 11.2%)",
+             on(table2_rows, lambda t: t["Total"][2] < 25)),
+            ("the window is 68.7 +- 10% cross-currency",
+             on(table2_rows, lambda t: abs(
+                 t["Cross-currency"][0] / t["Total"][0] - 0.687) <= 0.1)),
+        ),
+        jobs=(4,),
+    ),
+    Case(
+        "table2-30k",
+        ("table2", *PAPER_30K),
+        golden="examples/figures/table2-30k.txt",
+        claims=(
+            ("over 500 cross-currency payments replay, and none delivers",
+             on(table2_rows, lambda t: t["Cross-currency"][0] > 500
+                and t["Cross-currency"][1] == 0)),
+        ),
+    ),
+    Case(
+        "population",
+        ("population", *PAPER),
+        golden="examples/figures/population.txt",
+        claims=(
+            ("payments span the paper's Jan 2013 - Sep 2015 window "
+             "(30-day months 158-191 of the Ripple epoch)",
+             on(population_months, lambda m: (m[0], m[-1]) == (158, 191))),
+        ),
+        jobs=(4,),
+    ),
+    Case(
+        "defenses-30k",
+        ("defenses", *PAPER_30K),
+        golden="examples/extensions/defenses-30k.txt",
+        claims=(
+            ("an identified wallet links over 0.5 other payments before "
+             "per-payment wallets", on(defense_costs, lambda c:
+                                       c["history_exposure_before"] > 0.5)),
+            ("per-payment wallets need over 10,000 trust lines "
+             "(one per IOU payment)", on(defense_costs, lambda c:
+                                         c["trust_lines_to_bootstrap"]
+                                         > 10_000)),
+            ("amount padding overpays by over 5% on average",
+             on(defense_costs, lambda c:
+                c["mean_overpayment_fraction"] > 0.05)),
+        ),
+    ),
 )
 
 
@@ -261,6 +597,14 @@ def check_golden(runner: Runner, text: str, golden: str) -> None:
     )
 
 
+def claim_holds(holds: Callable[[str], bool], report: str) -> bool:
+    """A report that does not parse fails the claim instead of crashing."""
+    try:
+        return bool(holds(report))
+    except (AttributeError, IndexError, KeyError, ValueError):
+        return False
+
+
 def run_case(runner: Runner, case: Case, runs: Dict[Tuple[str, ...], Future],
              update: bool) -> str:
     """Check one case against its CLI runs, already started in ``runs``."""
@@ -274,7 +618,7 @@ def run_case(runner: Runner, case: Case, runs: Dict[Tuple[str, ...], Future],
     elif case.golden:
         check_golden(runner, text, case.golden)
     for message, holds in case.claims:
-        runner.check(holds(text), message)
+        runner.check(claim_holds(holds, text), message)
     for jobs in case.jobs:
         runner.check(
             runs[jobs_argv(case, jobs)].result() == text,
