@@ -1,14 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-node profile-fig3 trace-fig3 contracts
+.PHONY: test profile-fig3 trace-fig3 contracts
 
 test:
 	$(PYTHON) -m pytest tests -q
-
-# Engine + path-finder throughput; writes BENCH_node.json.
-bench-node:
-	$(PYTHON) -m repro bench-node
 
 profile-fig3:
 	$(PYTHON) -m repro --profile fig3

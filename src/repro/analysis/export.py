@@ -1,6 +1,6 @@
 """CSV export of every figure's data series, for external plotting.
 
-The benches render text; researchers who want to re-plot the figures with
+The CLI renders text; researchers who want to re-plot the figures with
 their own tooling get machine-readable series here — one CSV per artifact,
 column headers first, no dependencies beyond the standard library.
 """

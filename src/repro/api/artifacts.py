@@ -78,15 +78,10 @@ def dataset_for(args: ArtifactRequest):
     Archive ingest honours the shared durability flags: strict by default
     (first bad line is a typed error), lenient with ``--quarantine``
     (bad lines diverted to a ``<archive>.quarantine.jsonl`` sidecar, with
-    a summary on stderr).  ``--strict-ingest`` and ``--quarantine``
-    together are contradictory and rejected.
+    a summary on stderr).
     """
     if getattr(args, "archive", None):
         lenient = bool(getattr(args, "quarantine", False))
-        if lenient and getattr(args, "strict_ingest", False):
-            raise ArtifactError(
-                "--strict-ingest and --quarantine are mutually exclusive"
-            )
         with TRACER.span("artifact.dataset", kind="phase", source="archive"):
             stats = IngestStats()
             records = load_archive(

@@ -69,8 +69,8 @@ class ArtifactRequest:
 
     Semantic fields (``seed``, ``scale``, ``payments``, ``archive``,
     ``quarantine``, options) determine the output bytes; execution
-    fields (``jobs``, ``trace``, ``strict_ingest``) only determine *how*
-    the run executes and are excluded from :meth:`canonical_invocation`
+    fields (``jobs``, ``trace``) only determine *how* the run executes
+    and are excluded from :meth:`canonical_invocation`
     — sharded and traced runs are bit-for-bit identical to serial ones
     by contract.
     """
@@ -82,7 +82,6 @@ class ArtifactRequest:
     archive: Optional[str] = None
     jobs: Optional[int] = None
     quarantine: bool = False
-    strict_ingest: bool = False
     trace: bool = False
     #: Sorted ``(key, value)`` pairs of artifact-specific options.
     options: Tuple[Tuple[str, Any], ...] = ()
@@ -190,7 +189,6 @@ class ArtifactRequest:
             archive=getattr(args, "archive", None),
             jobs=getattr(args, "jobs", None),
             quarantine=bool(getattr(args, "quarantine", False)),
-            strict_ingest=bool(getattr(args, "strict_ingest", False)),
             trace=bool(getattr(args, "trace", None)),
             options=options,
         )
@@ -239,7 +237,6 @@ class ArtifactRequest:
             "archive": self.archive,
             "jobs": self.jobs,
             "quarantine": self.quarantine,
-            "strict_ingest": self.strict_ingest,
             "trace": self.trace,
         }
         payload.update(dict(self.options))
@@ -264,11 +261,9 @@ class ArtifactRequest:
     def canonical_invocation(self) -> Dict[str, Any]:
         """The semantic parameters of this request, defaults normalized.
 
-        Excludes execution strategy (``jobs``, ``trace``)
-        and redundant spellings (``strict_ingest`` is the default
-        behaviour; the archive *path* is excluded because the input
-        content hash, not its location, identifies the input — see
-        :func:`repro.obs.manifest.request_fingerprint`).
+        Excludes execution strategy (``jobs``, ``trace``) and the archive
+        *path*: the input content hash, not its location, identifies the
+        input — see :func:`repro.obs.manifest.request_fingerprint`.
         """
         return {
             "seed": int(self.seed),

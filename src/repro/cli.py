@@ -247,18 +247,6 @@ def cmd_defenses(_args: argparse.Namespace, request: ArtifactRequest) -> int:
     return 0
 
 
-def cmd_bench_node(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench import run_node
-
-    out = args.out or "BENCH_node.json"
-    payload = run_node(Path(out))
-    print(json.dumps(payload["speedup"], indent=2, sort_keys=True))
-    print(f"wrote {out}")
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the multi-tenant artifact daemon until shutdown.
 
@@ -429,9 +417,6 @@ def _common_parent() -> argparse.ArgumentParser:
                              "fork_threshold shards, every other artifact "
                              "runs serially (default 1 = serial; output is "
                              "bit-identical either way)")
-    parent.add_argument("--strict-ingest", action="store_true", default=False,
-                        help="fail on the first malformed archive line "
-                             "(the default; spelled out for scripts)")
     parent.add_argument("--quarantine", action="store_true", default=False,
                         help="lenient ingest: schema-validate each archive "
                              "line, divert bad ones to "
@@ -527,12 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate the Section IV validator-reward proposal",
     )
     sub.set_defaults(func=cmd_rewards)
-
-    sub = subparsers.add_parser(
-        "bench-node", parents=[parent],
-        help="measure engine/path-finder throughput",
-    )
-    sub.set_defaults(func=cmd_bench_node)
 
     sub = subparsers.add_parser(
         "artifact", parents=[parent],

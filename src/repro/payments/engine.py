@@ -175,64 +175,6 @@ class PaymentEngine:
                 METRICS.count("engine.failures")
         return result
 
-    def submit_batch(
-        self,
-        payments: Sequence[Tuple[AccountID, AccountID, Amount]],
-        banned_intermediaries: Optional[Set[AccountID]] = None,
-        allow_offers: bool = True,
-    ) -> List[PaymentResult]:
-        """Route and execute many payments in one call, in order.
-
-        Semantically identical to calling :meth:`submit` once per
-        ``(sender, receiver, amount)`` tuple, but the per-payment overhead
-        is amortized across the batch: one counter flush for the whole call
-        instead of one per payment, and endpoint validation is a direct
-        dictionary membership test instead of two exception-guarded
-        lookups.  ``repro.bench`` submits its payments back to back through
-        it; the Table II replay calls :meth:`submit` per payment.
-        """
-        results = self._submit_batch(payments, banned_intermediaries, allow_offers)
-        if METRICS.enabled:
-            METRICS.count("engine.payments", len(results))
-            failures = sum(1 for r in results if not r.success)
-            if failures:
-                METRICS.count("engine.failures", failures)
-        return results
-
-    def _submit_batch(
-        self,
-        payments: Sequence[Tuple[AccountID, AccountID, Amount]],
-        banned_intermediaries: Optional[Set[AccountID]],
-        allow_offers: bool,
-    ) -> List[PaymentResult]:
-        accounts = self.state.accounts
-        results: List[PaymentResult] = []
-        for sender, receiver, amount in payments:
-            if sender not in accounts or receiver not in accounts:
-                missing = sender if sender not in accounts else receiver
-                results.append(
-                    PaymentResult(
-                        success=False,
-                        sender=sender,
-                        receiver=receiver,
-                        amount=amount,
-                        error=f"unknown account {missing.short()}",
-                    )
-                )
-                continue
-            results.append(
-                self._submit_validated(
-                    sender,
-                    receiver,
-                    amount,
-                    None,
-                    None,
-                    banned_intermediaries,
-                    allow_offers,
-                )
-            )
-        return results
-
     def _submit(
         self,
         sender: AccountID,

@@ -108,8 +108,7 @@ class TestFromNamespace:
     def test_cli_namespace_round_trip(self):
         args = argparse.Namespace(
             command="fig4", seed=7, scale=600, payments=4000, archive=None,
-            jobs=2, quarantine=False, strict_ingest=False,
-            trace=None, top=5,
+            jobs=2, quarantine=False, trace=None, top=5,
         )
         request = ArtifactRequest.from_namespace(args)
         assert request.name == "fig4"
@@ -178,7 +177,6 @@ class TestCanonicalization:
         for variant in (
             base.replace(jobs=4),
             base.replace(trace=True),
-            base.replace(strict_ingest=True),
         ):
             assert request_fingerprint(variant) == request_fingerprint(base)
 
@@ -206,8 +204,7 @@ class TestFingerprintRegression:
     def test_pinned_fingerprint_via_cli_namespace(self):
         args = argparse.Namespace(
             command="fig3", seed=7, scale=600, payments=4000, archive=None,
-            jobs=4, quarantine=False, strict_ingest=False,
-            trace="auto",
+            jobs=4, quarantine=False, trace="auto",
         )
         request = ArtifactRequest.from_namespace(args)
         assert request_fingerprint(request) == PINNED_FIG3

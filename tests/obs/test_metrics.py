@@ -36,6 +36,15 @@ class TestRecording:
         snap = metrics.snapshot()
         assert set(snap) == {"counters", "timers"}
 
+    def test_reset_clears_every_family(self):
+        metrics = MetricsRegistry(enabled=True)
+        metrics.count("a")
+        metrics.add_time("b", 1.0)
+        metrics.gauge("g", 2.0)
+        metrics.observe("h", 3.0)
+        metrics.reset()
+        assert metrics.snapshot() == {"counters": {}, "timers": {}}
+
 
 class TestAbsorb:
     def test_absorb_merges_every_metric_family(self):
@@ -92,6 +101,17 @@ class TestExpositions:
             "repro_shard_rows_min 100.0\n"
             "repro_shard_rows_max 100.0\n"
         )
+
+    def test_report_names_every_counter_and_timer(self):
+        metrics = MetricsRegistry(enabled=True)
+        metrics.count("payments", 3)
+        metrics.count("failures")
+        with metrics.timer("work"):
+            pass
+        metrics.add_time("etl.load", 0.25)
+        report = metrics.report()
+        for name in ("payments", "failures", "work", "etl.load"):
+            assert name in report
 
     def test_empty_prom_exposition_is_empty(self):
         assert MetricsRegistry(enabled=True).to_prom() == ""

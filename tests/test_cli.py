@@ -105,14 +105,6 @@ class TestDurabilityFlags:
         assert "quarantined 1" in captured.err
         assert os.path.exists(archive + ".quarantine.jsonl")
 
-    def test_strict_and_quarantine_conflict(self, capsys, tmp_path):
-        archive = str(tmp_path / "dump.jsonl")
-        assert main(["generate", *SMALL, "--out", archive]) == 0
-        capsys.readouterr()
-        assert main(["fig4", "--archive", archive, "--quarantine",
-                     "--strict-ingest"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
 
 class TestExtensionCommands:
     def test_defenses(self, capsys):
