@@ -14,6 +14,7 @@ resolution the paper quotes for the amount field.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -25,39 +26,69 @@ from repro.ledger.currency import XRP, Currency
 PRECISION_DIGITS = 15
 _MANTISSA_MIN = 10 ** (PRECISION_DIGITS - 1)
 _MANTISSA_MAX = 10 ** PRECISION_DIGITS - 1
+#: Mantissas from this size up (3+ extra digits) take the one-division
+#: shortcut in _normalize; below it the digit loop is as cheap.
+_SETTLE_MIN = 10 ** (PRECISION_DIGITS + 2)
 #: Exponent range of rippled's STAmount.
 _EXPONENT_MIN = -96
 _EXPONENT_MAX = 80
+
+#: 10**n for every exponent gap two normalized amounts can have.
+_POW10 = tuple(10 ** n for n in range(_EXPONENT_MAX - _EXPONENT_MIN + 1))
 
 #: Drops per XRP.
 DROPS_PER_XRP = 10 ** 6
 
 
 def _normalize(mantissa: int, exponent: int) -> Tuple[int, int]:
-    """Normalize to 15 significant digits (zero is (0, 0))."""
+    """Normalize to 15 significant digits (zero is (0, 0)).
+
+    Extra digits are dropped one at a time, lowest first, each rounding
+    half-up; a round-up that leaves more than 15 digits drops the next
+    digit by truncation (the ``mag //= 10`` carry branch).  That is not
+    a single half-up rounding of all dropped digits, so the fast paths
+    below only skip work the digit loop would do without effect:
+
+    * an in-range mantissa is returned untouched;
+    * a short one is scaled up by one multiply;
+    * one with three or more extra digits loses, in one division, every
+      dropped digit up to and including the highest one in 0-3.  Whatever
+      state the loop is in when it reaches such a digit, it leaves no
+      carry behind, so the digits below it cannot change the result.  The
+      loop then runs only over the dropped digits above it, all in 4-9.
+    """
     if mantissa == 0:
         return 0, 0
-    sign = 1 if mantissa > 0 else -1
     mag = abs(mantissa)
-    while mag < _MANTISSA_MIN:
-        mag *= 10
-        exponent -= 1
-    while mag > _MANTISSA_MAX:
-        mag, rem = divmod(mag, 10)
-        if rem >= 5:
-            mag += 1
-            if mag > _MANTISSA_MAX:  # carry, e.g. 999...9 + 1
-                mag //= 10
-                exponent += 1
-        exponent += 1
+    if mag < _MANTISSA_MIN:
+        shift = PRECISION_DIGITS - len(str(mag))
+        mag *= 10 ** shift
+        exponent -= shift
+    elif mag > _MANTISSA_MAX:
+        if mag >= _SETTLE_MIN:
+            dropped = str(mag)[PRECISION_DIGITS:]
+            settled = len(dropped.lstrip("456789"))
+            if settled:
+                mag //= 10 ** settled
+                exponent += settled
+        while mag > _MANTISSA_MAX:
+            mag, rem = divmod(mag, 10)
+            if rem >= 5:
+                mag += 1
+                if mag > _MANTISSA_MAX:  # carry, e.g. 999...9 + 1
+                    mag //= 10
+                    exponent += 1
+            exponent += 1
+    elif _EXPONENT_MIN <= exponent <= _EXPONENT_MAX:
+        return mantissa, exponent
     if exponent < _EXPONENT_MIN:
         return 0, 0
     if exponent > _EXPONENT_MAX:
         raise InvalidAmountError(f"amount overflow: {mantissa}e{exponent}")
-    return sign * mag, exponent
+    return (mag if mantissa > 0 else -mag), exponent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Amount:
     """An amount of some currency, optionally tied to an issuer.
 
@@ -71,11 +102,12 @@ class Amount:
     issuer: Optional[AccountID] = None
 
     def __post_init__(self) -> None:
-        if self.currency.is_xrp and self.issuer is not None:
+        if self.issuer is not None and self.currency.is_xrp:
             raise InvalidAmountError("XRP amounts cannot have an issuer")
         m, e = _normalize(self.mantissa, self.exponent)
-        object.__setattr__(self, "mantissa", m)
-        object.__setattr__(self, "exponent", e)
+        if m is not self.mantissa or e != self.exponent:
+            object.__setattr__(self, "mantissa", m)
+            object.__setattr__(self, "exponent", e)
 
     # Constructors -----------------------------------------------------------
 
@@ -142,26 +174,27 @@ class Amount:
     # Arithmetic --------------------------------------------------------------
 
     def _check_compatible(self, other: "Amount") -> None:
-        if self.currency != other.currency:
+        if self.currency is not other.currency and self.currency != other.currency:
             raise InvalidAmountError(
                 f"currency mismatch: {self.currency} vs {other.currency}"
             )
-        if self.issuer != other.issuer:
+        if self.issuer is not other.issuer and self.issuer != other.issuer:
             raise InvalidAmountError("issuer mismatch in amount arithmetic")
 
     def _binop(self, other: "Amount", op) -> "Amount":
         self._check_compatible(other)
+        e = self.exponent
+        if e == other.exponent:
+            return Amount(self.currency, op(self.mantissa, other.mantissa), e, self.issuer)
         # Align exponents on the smaller one so mantissa math is exact.
-        e = min(self.exponent, other.exponent)
-        a = self.mantissa * 10 ** (self.exponent - e)
-        b = other.mantissa * 10 ** (other.exponent - e)
-        return Amount(self.currency, op(a, b), e, self.issuer)
+        a, b = self._aligned(other)
+        return Amount(self.currency, op(a, b), min(e, other.exponent), self.issuer)
 
     def __add__(self, other: "Amount") -> "Amount":
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, operator.add)
 
     def __sub__(self, other: "Amount") -> "Amount":
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, operator.sub)
 
     def __neg__(self) -> "Amount":
         return Amount(self.currency, -self.mantissa, self.exponent, self.issuer)
@@ -201,10 +234,10 @@ class Amount:
 
     def _aligned(self, other: "Amount") -> Tuple[int, int]:
         """Both mantissas scaled to the smaller exponent (exact integers)."""
-        e = min(self.exponent, other.exponent)
-        a = self.mantissa * 10 ** (self.exponent - e)
-        b = other.mantissa * 10 ** (other.exponent - e)
-        return a, b
+        shift = self.exponent - other.exponent
+        if shift >= 0:
+            return self.mantissa * _POW10[shift], other.mantissa
+        return self.mantissa, other.mantissa * _POW10[-shift]
 
     def _cmp_key(self, other: "Amount") -> Tuple[int, int]:
         self._check_compatible(other)

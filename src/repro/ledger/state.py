@@ -114,8 +114,8 @@ class LedgerState:
 
             def fresh(table: Dict) -> Dict:
                 # Entries were validated when built, so the copy skips
-                # __init__/__post_init__; a trust line's cached float
-                # views travel in its __dict__ with the rest.
+                # __init__/__post_init__; a trust line's cached available
+                # credit and float views travel in its __dict__ with the rest.
                 copied = {}
                 for key, entry in table.items():
                     twin = object.__new__(type(entry))
@@ -308,15 +308,19 @@ class LedgerState:
         extends new debt of the payer towards the payee; raises
         :class:`TrustLineError` if the combined capacity is insufficient.
         """
+        code = amount.currency.code
+        trustlines = self.trustlines
         remaining = amount
-        backward = self.trust_line(payer, payee, amount.currency)
+        backward = trustlines.get((payer, payee, code))
         if backward is not None and backward.balance.is_positive:
-            settled = remaining.min(backward.balance)
+            settled = amount.min(backward.balance)
             backward.settle_debt(settled)
-            remaining = remaining - settled
+            if settled is amount:
+                return
+            remaining = amount - settled
         if remaining.is_zero:
             return
-        forward = self.trust_line(payee, payer, amount.currency)
+        forward = trustlines.get((payee, payer, code))
         if forward is None:
             raise TrustLineError(
                 f"no trust from {payee.short()} to {payer.short()} in {amount.currency}"

@@ -59,9 +59,14 @@ class TrustLine:
     def _refresh_float_cache(self) -> None:
         # Path finding reads capacities as floats millions of times per
         # history but a line only mutates on a hop or a TrustSet, so the
-        # float views are maintained here instead of recomputed per query.
+        # available credit and the float views are computed here, once per
+        # mutation, instead of per query.
+        remaining = self.limit - self.balance
+        self._available = (
+            remaining if remaining.is_positive else Amount.zero(self.currency)
+        )
         self._balance_float = self.balance.to_float()
-        self._available_float = self.available_credit().to_float()
+        self._available_float = self._available.to_float()
 
     @property
     def key(self) -> Tuple[AccountID, AccountID, str]:
@@ -70,8 +75,7 @@ class TrustLine:
 
     def available_credit(self) -> Amount:
         """How much *new* debt the trustee may take on over this line."""
-        remaining = self.limit - self.balance
-        return remaining if remaining.is_positive else Amount.zero(self.currency)
+        return self._available
 
     def extend_debt(self, amount: Amount) -> None:
         """Record ``amount`` of additional debt (trustee pays truster).
@@ -80,7 +84,7 @@ class TrustLine:
         """
         if amount.is_negative:
             raise InvalidAmountError("debt extension must be non-negative")
-        if amount > self.available_credit():
+        if amount > self._available:
             raise TrustLineError(
                 f"trust line {self.truster.short()}<-{self.trustee.short()} "
                 f"{self.currency} lacks capacity for {amount}"

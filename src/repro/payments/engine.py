@@ -114,13 +114,14 @@ class PaymentResult:
 
     @property
     def intermediaries(self) -> List[AccountID]:
-        """Every account that relayed value (excluding the endpoints)."""
-        seen: List[AccountID] = []
-        for path in self.outcome.paths:
-            for node in path[1:-1]:
-                if node not in seen:
-                    seen.append(node)
-        return seen
+        """Every account that relayed value (excluding the endpoints).
+
+        Each account appears once, in the order it is first met along the
+        paths.
+        """
+        return list(
+            dict.fromkeys(node for path in self.outcome.paths for node in path[1:-1])
+        )
 
 
 class PaymentEngine:
@@ -185,43 +186,17 @@ class PaymentEngine:
         banned_intermediaries: Optional[Set[AccountID]],
         allow_offers: bool,
     ) -> PaymentResult:
-        try:
-            self.state.account(sender)
-            self.state.account(receiver)
-        except UnknownAccountError as exc:
-            result = PaymentResult(
-                success=False, sender=sender, receiver=receiver, amount=amount
-            )
-            spend = send_max.currency if send_max is not None else amount.currency
-            result.is_cross_currency = spend != amount.currency
-            result.error = str(exc)
-            return result
-        return self._submit_validated(
-            sender,
-            receiver,
-            amount,
-            send_max,
-            forced_paths,
-            banned_intermediaries,
-            allow_offers,
-        )
-
-    def _submit_validated(
-        self,
-        sender: AccountID,
-        receiver: AccountID,
-        amount: Amount,
-        send_max: Optional[Amount],
-        forced_paths: Optional[Sequence[Tuple[List[AccountID], float]]],
-        banned_intermediaries: Optional[Set[AccountID]],
-        allow_offers: bool,
-    ) -> PaymentResult:
-        """Routing and execution after endpoint validation has passed."""
         result = PaymentResult(
             success=False, sender=sender, receiver=receiver, amount=amount
         )
         spend_currency = send_max.currency if send_max is not None else amount.currency
         result.is_cross_currency = spend_currency != amount.currency
+        try:
+            self.state.account(sender)
+            self.state.account(receiver)
+        except UnknownAccountError as exc:
+            result.error = str(exc)
+            return result
 
         result.fee_drops = self._burn_fee(sender)
 

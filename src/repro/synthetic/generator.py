@@ -93,6 +93,38 @@ XRP_SPEND_PROBABILITY = 0.68
 MAJOR_FIAT = ("BTC", "USD", "CNY", "JPY", "EUR")
 
 
+#: How far from 1 ``rng.choice`` lets probabilities sum.
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(float).eps))
+
+
+def weighted_cdf(weights: np.ndarray) -> Optional[np.ndarray]:
+    """The CDF ``rng.choice(len(weights), p=weights)`` builds per draw.
+
+    ``choice`` checks ``weights``, then normalizes their running sum and
+    bisects it with one ``rng.random()``; :func:`weighted_draw` repeats
+    only that last step, so both consume the generator alike and pick the
+    same index.  Weights ``choice`` would reject (negative, or not summing
+    to 1) give None, which :func:`weighted_draw` rejects the same way.
+    """
+    weights = np.asarray(weights, dtype=float)
+    valid = (weights >= 0).all() and abs(weights.sum() - 1.0) <= _SUM_TOLERANCE
+    if not valid:
+        return None
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def weighted_draw(rng: np.random.Generator, cdf: Optional[np.ndarray]) -> int:
+    """One index drawn from a :func:`weighted_cdf` result."""
+    if cdf is None:
+        raise ValueError("weights are not a probability distribution")
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+_SPLIT_CDF = weighted_cdf(np.array(SPLIT_WEIGHTS))
+
+
 @dataclass
 class SyntheticHistory:
     """Everything the analyses read from the synthetic three-year run."""
@@ -140,6 +172,8 @@ class LedgerHistoryGenerator:
         self._sender_weights /= self._sender_weights.sum()
         receiver_perm = self.rng.permutation(len(self.cast.users))
         self._receiver_weights = self._sender_weights[receiver_perm]
+        self._sender_cdf = weighted_cdf(self._sender_weights)
+        self._receiver_cdf = weighted_cdf(self._receiver_weights)
         self._spammers = [
             self._mint_user(f"xrp-spammer-{index}") for index in range(4)
         ]
@@ -154,6 +188,7 @@ class LedgerHistoryGenerator:
             )
             total = weights.sum()
             self._hub_group_weights.append(weights / total if total > 0 else weights)
+        self._hub_group_cdfs = [weighted_cdf(w) for w in self._hub_group_weights]
         self._user_hub = {
             user.account: index % n_hubs
             for index, user in enumerate(self.cast.users)
@@ -162,6 +197,7 @@ class LedgerHistoryGenerator:
         self._offer_sequence = 0
         self._books: Dict[Tuple[str, str], Deque[Tuple[AccountID, int]]] = {}
         self._maker_weights = zipf_maker_weights(self.config)
+        self._maker_cdf = weighted_cdf(self._maker_weights)
         self._amount_cache: Dict[str, Tuple[np.ndarray, int]] = {}
 
     # Public ---------------------------------------------------------------------
@@ -198,9 +234,11 @@ class LedgerHistoryGenerator:
         self.cast.labels[account] = name
         return account
 
-    def _pick_user(self, weights: np.ndarray, exclude: Optional[AccountID] = None) -> AccountID:
+    def _pick_user(
+        self, cdf: Optional[np.ndarray], exclude: Optional[AccountID] = None
+    ) -> AccountID:
         for _ in range(4):
-            index = int(self.rng.choice(len(self._user_accounts), p=weights))
+            index = weighted_draw(self.rng, cdf)
             account = self._user_accounts[index]
             if account != exclude:
                 return account
@@ -298,9 +336,7 @@ class LedgerHistoryGenerator:
         """How many gateway seats to fragment liquidity across."""
         if issuers_available < 2 or self.rng.random() >= SPLIT_PROBABILITY:
             return 1
-        k = int(
-            self.rng.choice(np.array(SPLIT_CHOICES), p=np.array(SPLIT_WEIGHTS))
-        )
+        k = SPLIT_CHOICES[weighted_draw(self.rng, _SPLIT_CDF)]
         return min(k, issuers_available)
 
     def _fund_single_currency(
@@ -392,20 +428,17 @@ class LedgerHistoryGenerator:
             # One-off user offers: counted in the concentration statistic,
             # but never competitive (terrible rate, cancelled immediately) —
             # the long tail behind the top-100 makers' 87 %.
-            owner = self._pick_user(self._sender_weights)
+            owner = self._pick_user(self._sender_cdf)
             self.history.offer_records.append(
                 OfferRecord(owner=owner, timestamp=timestamp)
             )
             return
-        maker_index = int(
-            self.rng.choice(len(self.cast.market_makers), p=self._maker_weights)
-        )
-        maker = self.cast.market_makers[maker_index]
+        maker = self.cast.market_makers[weighted_draw(self.rng, self._maker_cdf)]
         currency = maker.currencies[int(self.rng.integers(0, len(maker.currencies)))]
         xrp = Currency("XRP")
         spread = 1.0 + float(self.rng.uniform(0.002, 0.05))
         rate_xrp_per_unit = eur_value(currency) / eur_value(xrp)
-        direct_peers = [c for c in maker.currencies if c != currency]
+        direct_peers = [c for c in maker.currencies if c.code != currency.code]
         if direct_peers and self.rng.random() < DIRECT_BOOK_SHARE:
             # Direct IOU/IOU book (e.g. USD -> EUR): slightly better than
             # chaining two XRP legs, so single-offer bridges win when deep
@@ -496,8 +529,8 @@ class LedgerHistoryGenerator:
         )
 
     def _pay_xrp(self, index: int, slot: PaymentSlot) -> None:
-        sender = self._pick_user(self._sender_weights)
-        receiver = self._pick_user(self._receiver_weights, exclude=sender)
+        sender = self._pick_user(self._sender_cdf)
+        receiver = self._pick_user(self._receiver_cdf, exclude=sender)
         amount = min(self._sample_amount("XRP"), 5e6)
         drops = int(round(amount * DROPS_PER_XRP))
         self._ensure_xrp(sender, drops + 1000)
@@ -505,7 +538,7 @@ class LedgerHistoryGenerator:
         self._record(index, slot, sender, receiver, amount, result, is_xrp_direct=True)
 
     def _pay_spin(self, index: int, slot: PaymentSlot) -> None:
-        sender = self._pick_user(self._sender_weights)
+        sender = self._pick_user(self._sender_cdf)
         receiver = self.cast.special["ripple_spin"]
         amount = float(np.clip(self.rng.lognormal(np.log(20.0), 1.0), 0.5, 2e4))
         self._ensure_xrp(sender, int(amount * DROPS_PER_XRP) + 1000)
@@ -524,14 +557,14 @@ class LedgerHistoryGenerator:
         self._record(index, slot, sender, receiver, amount, result, is_xrp_direct=True)
 
     def _pay_cck(self, index: int, slot: PaymentSlot) -> None:
-        sender = self._pick_user(self._sender_weights)
+        sender = self._pick_user(self._sender_cdf)
         if self.rng.random() < SAME_HUB_PROBABILITY:
             group = self._user_hub.get(sender, 0)
             receiver = self._pick_user(
-                self._hub_group_weights[group], exclude=sender
+                self._hub_group_cdfs[group], exclude=sender
             )
         else:
-            receiver = self._pick_user(self._receiver_weights, exclude=sender)
+            receiver = self._pick_user(self._receiver_cdf, exclude=sender)
         amount = self._sample_amount("CCK")
         currency = Currency("CCK")
         result = self.engine.submit(
@@ -545,8 +578,8 @@ class LedgerHistoryGenerator:
         is_major = slot.currency in MAJOR_FIAT
         cross = is_major and self.rng.random() < CROSS_CURRENCY_PROBABILITY
 
-        sender = self._pick_user(self._sender_weights)
-        receiver = self._pick_user(self._receiver_weights, exclude=sender)
+        sender = self._pick_user(self._sender_cdf)
+        receiver = self._pick_user(self._receiver_cdf, exclude=sender)
         amount = min(self._sample_amount(slot.currency), 2e5)
 
         receiver_gateway = self._ensure_seat(receiver, currency)

@@ -1,10 +1,15 @@
 """Tests for the STAmount-style amount representation."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidAmountError
 from repro.ledger.accounts import account_from_name
-from repro.ledger.amounts import DROPS_PER_XRP, Amount
+from repro.ledger.amounts import DROPS_PER_XRP, Amount, _normalize
 from repro.ledger.currency import BTC, EUR, USD, XRP
 
 
@@ -173,3 +178,162 @@ class TestExactNumerics:
         lo = Amount(USD, 100000000000000, 1)   # 1e15
         hi = Amount(USD, 100000000000001, 1)   # 1e15 + 10
         assert lo < hi and hi > lo and lo.min(hi) is lo
+
+
+def _normalize_loop(mantissa, exponent):
+    """The digit-at-a-time normalization, kept as the specification.
+
+    ``_normalize`` must return exactly this.  Each dropped digit rounds
+    half-up on its own; a round-up that leaves more than 15 digits drops
+    the next digit by truncation (``mag //= 10``).
+    """
+    if mantissa == 0:
+        return 0, 0
+    sign = 1 if mantissa > 0 else -1
+    mag = abs(mantissa)
+    while mag < 10 ** 14:
+        mag *= 10
+        exponent -= 1
+    while mag > 10 ** 15 - 1:
+        mag, rem = divmod(mag, 10)
+        if rem >= 5:
+            mag += 1
+            if mag > 10 ** 15 - 1:
+                mag //= 10
+                exponent += 1
+        exponent += 1
+    if exponent < -96:
+        return 0, 0
+    if exponent > 80:
+        raise InvalidAmountError(f"amount overflow: {mantissa}e{exponent}")
+    return sign * mag, exponent
+
+
+def _outcome(normalize, mantissa, exponent):
+    try:
+        return normalize(mantissa, exponent)
+    except InvalidAmountError:
+        return "overflow"
+
+
+@st.composite
+def _mantissas(draw):
+    """1-45 significant digits, either sign, with a trailing-zero run.
+
+    Digits come from the full alphabet or from 4-9/5,9/0,4,5,9 only, so
+    runs of round-ups and carries through 9s are common, not rare.
+    """
+    alphabet = draw(st.sampled_from(("0123456789", "456789", "59", "0459")))
+    digits = draw(st.text(alphabet=alphabet, min_size=1, max_size=45))
+    zeros = draw(st.integers(min_value=0, max_value=45 - len(digits)))
+    sign = draw(st.sampled_from((1, -1)))
+    return sign * int(digits) * 10 ** zeros
+
+
+class TestNormalizeMatchesDigitLoop:
+    @settings(max_examples=1000, deadline=None)
+    @given(mantissa=_mantissas(), exponent=st.integers(min_value=-140, max_value=110))
+    def test_equals_loop(self, mantissa, exponent):
+        assert _outcome(_normalize, mantissa, exponent) == _outcome(
+            _normalize_loop, mantissa, exponent
+        )
+
+    @pytest.mark.parametrize(
+        "mantissa, exponent, expected, single_half_up",
+        [
+            # The 9 below the top dropped digit rounds up, so that 5 is
+            # truncated instead of rounding "...208" up.
+            (-485551485653208592737869347, -31, (-485551485653208, -19), -485551485653209),
+            # The 7 rounds up and the 6 above it is truncated.
+            (12345678901234567, -6, (123456789012345, -4), 123456789012346),
+            # The 5 rounds up, carries through the truncated 9 and makes
+            # the 4 a 5: the loop rounds up where half-up rounds down.
+            (100000000000000495, 0, (100000000000001, 3), 100000000000000),
+        ],
+    )
+    def test_loop_is_not_single_half_up(self, mantissa, exponent, expected, single_half_up):
+        assert _normalize(mantissa, exponent) == expected
+        assert _normalize_loop(mantissa, exponent) == expected
+        assert expected[0] != single_half_up
+
+    @pytest.mark.parametrize(
+        "mantissa, exponent, expected",
+        [
+            (999999999999999500, 0, (100000000000000, 4)),  # carry to 16 digits
+            (10 ** 44, -120, (10 ** 14, -90)),  # 45 digits, exact drop
+            (123, -84, (123000000000000, -96)),  # lowest exponent kept
+            (123, -85, (0, 0)),  # underflow after scaling up
+            (-10 ** 15, -97, (-10 ** 14, -96)),
+            (-10 ** 15, -98, (0, 0)),  # underflow after dropping a digit
+        ],
+    )
+    def test_boundaries(self, mantissa, exponent, expected):
+        assert _normalize(mantissa, exponent) == expected == _normalize_loop(mantissa, exponent)
+
+    def test_overflow_after_dropping_digits(self):
+        assert _normalize(10 ** 20, 74) == (10 ** 14, 80)
+        with pytest.raises(InvalidAmountError):
+            _normalize(10 ** 20, 75)
+
+
+class TestConstructionCounter:
+    """A counter patched onto ``Amount.__post_init__`` sees every new amount.
+
+    The benchmark counts ``ledger.amount.constructions`` this way, so each
+    operation that builds an amount must run ``__post_init__`` once, and
+    the equal-exponent arithmetic shortcut must not bypass it.
+    """
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        made = []
+        original = Amount.__dict__["__post_init__"]
+
+        def counted(self):
+            made.append(self)
+            original(self)
+
+        monkeypatch.setattr(Amount, "__post_init__", counted)
+        return made
+
+    def test_every_operation_counted(self, built):
+        a = Amount(USD, 123456789012345, -6)
+        b = Amount(USD, 5, -6)  # scaled up: a different exponent from a
+        c = Amount(USD, 100000000000000, -6)  # the same exponent as a
+        built.clear()
+        results = [
+            a + b,
+            a + c,
+            a - b,
+            a - c,
+            a.round_to(2),
+            Amount.from_value(USD, 1.25),
+            Amount.from_value(USD, 3),
+            Amount.zero(USD),
+            -a,
+            a.scaled(0.5),
+        ]
+        assert len(built) == len(results)
+        assert all(made is result for made, result in zip(built, results))
+
+    def test_min_builds_nothing(self, built):
+        a = Amount(USD, 4, 0)
+        b = Amount(USD, 7, 0)
+        built.clear()
+        assert a.min(b) is a and b.min(a) is a
+        assert built == []
+
+
+class TestSlots:
+    def test_no_instance_dict(self):
+        assert not hasattr(Amount.from_value(USD, 1.5), "__dict__")
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        amount = Amount.from_value(USD, 12.5, issuer=account_from_name("gw"))
+        for twin in (pickle.loads(pickle.dumps(amount)), copy.deepcopy(amount)):
+            assert twin == amount
+            assert (twin.mantissa, twin.exponent) == (amount.mantissa, amount.exponent)
+
+    def test_still_frozen(self):
+        with pytest.raises(AttributeError):
+            Amount.from_value(USD, 1).mantissa = 2

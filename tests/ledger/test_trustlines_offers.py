@@ -61,6 +61,33 @@ class TestTrustLine:
         assert line.balance.to_float() == 80
         assert line.available_credit().is_zero
 
+    def test_kept_available_credit_follows_every_mutation(self):
+        # available_credit() and extend_debt's capacity check read the
+        # amount kept at the last mutation; it must equal limit - balance
+        # (floored at zero) after each kind of mutation.
+        line = TrustLine(ALICE, BOB, USD, usd(100))
+
+        def check():
+            fresh = line.limit - line.balance
+            expected = fresh if fresh.is_positive else Amount.zero(USD)
+            assert line.available_credit() == expected
+            assert line._available_float == expected.to_float()
+            assert line._balance_float == line.balance.to_float()
+
+        check()
+        for mutate in (
+            lambda: line.extend_debt(usd(60.5)),
+            lambda: line.settle_debt(usd(0.25)),
+            lambda: line.set_limit(usd(40)),
+            lambda: line.set_limit(usd(1e9)),
+            lambda: line.extend_debt(usd(1e8)),
+            lambda: line.write_off(),
+        ):
+            mutate()
+            check()
+        with pytest.raises(TrustLineError):
+            line.extend_debt(usd(0.5))  # write_off withdrew the limit
+
     def test_dead_line_detection(self):
         line = TrustLine(ALICE, BOB, USD, usd(0))
         assert line.is_dead()

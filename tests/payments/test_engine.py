@@ -213,6 +213,28 @@ class TestForcedPaths:
         assert result.intermediate_hops == 2
         assert result.parallel_paths == 1
 
+    def test_intermediaries_once_each_in_first_seen_order(self, economy):
+        # Three parallel paths that share relays: each relay is listed once,
+        # where it first appears walking the paths in order.
+        state, actors = economy
+        a, b, c, d = (
+            account_from_name(f"shared-relay-{name}", namespace="engine")
+            for name in "abcd"
+        )
+        for account in (a, b, c, d):
+            state.create_account(account, 10 ** 9)
+        sender, receiver = actors["sender"], actors["receiver"]
+        for truster, trustee in (
+            (a, sender), (b, sender), (c, a), (c, b), (d, a), (receiver, c), (receiver, d),
+        ):
+            state.set_trust(truster, trustee, usd(1_000))
+        paths = [[sender, a, c, receiver], [sender, b, c, receiver], [sender, a, d, receiver]]
+        result = PaymentEngine(state).submit(
+            sender, receiver, usd(30), forced_paths=[(path, 10.0) for path in paths],
+        )
+        assert result.success and result.parallel_paths == 3
+        assert result.intermediaries == [a, c, b, d]
+
     def test_forced_route_without_capacity_fails_atomically(self, economy):
         state, actors = economy
         path = [actors["sender"], actors["receiver"]]
