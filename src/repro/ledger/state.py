@@ -10,7 +10,7 @@ offer placement, fee burning); multi-hop payment semantics live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import (
     InsufficientBalanceError,
@@ -231,15 +231,59 @@ class LedgerState:
         line = self.trustlines.get(key)
         if line is None:
             line = TrustLine(truster=truster, trustee=trustee, currency=limit.currency, limit=limit)
-            self.trustlines[key] = line
-            self._lines_by_truster.setdefault(truster, []).append(line)
-            self._lines_by_trustee.setdefault(trustee, []).append(line)
-            index = self._currency_lines.get(code)
-            if index is not None:
-                index.add(line)
+            self._insert_line(key, line)
         else:
             line.set_limit(limit)
         return line
+
+    def open_line(
+        self, truster: AccountID, trustee: AccountID, limit: Amount, balance: Amount
+    ) -> TrustLine:
+        """Open a new line ``truster -> trustee`` that already carries ``balance``.
+
+        The result equals :meth:`set_trust` followed by
+        ``apply_hop(trustee, truster, balance)`` (a deposit), in one step.
+        That hop would settle debt on a line in the other direction before
+        extending this one, so a positive ``balance`` is refused when such a
+        line exists; so are an existing line and a balance outside
+        ``[0, limit]``.  ``limit`` and ``balance`` may be shared with other
+        lines: amounts are frozen.
+        """
+        self.account(truster)
+        self.account(trustee)
+        code = limit.currency.code
+        key: TrustKey = (truster, trustee, code)
+        if key in self.trustlines:
+            raise LedgerError(
+                f"trust line {truster.short()}->{trustee.short()} {code} already exists"
+            )
+        if balance.is_negative:
+            raise TrustLineError(f"opening balance {balance} is negative")
+        if balance.is_positive:
+            if balance > limit:
+                raise TrustLineError(f"opening balance {balance} exceeds {limit}")
+            if (trustee, truster, code) in self.trustlines:
+                raise TrustLineError(
+                    f"{trustee.short()} already trusts {truster.short()} in {code}: "
+                    "a deposit hop would settle that line first"
+                )
+        line = TrustLine(
+            truster=truster,
+            trustee=trustee,
+            currency=limit.currency,
+            limit=limit,
+            balance=balance,
+        )
+        self._insert_line(key, line)
+        return line
+
+    def _insert_line(self, key: TrustKey, line: TrustLine) -> None:
+        self.trustlines[key] = line
+        self._lines_by_truster.setdefault(line.truster, []).append(line)
+        self._lines_by_trustee.setdefault(line.trustee, []).append(line)
+        index = self._currency_lines.get(key[2])
+        if index is not None:
+            index.add(line)
 
     def trust_line(
         self, truster: AccountID, trustee: AccountID, currency: Currency
@@ -364,13 +408,22 @@ class LedgerState:
         return [offer for offer in self.offers.values() if offer.owner == owner]
 
     def remove_all_offers_of(self, owner: AccountID) -> int:
-        """Cancel every live offer of ``owner`` (market-maker removal)."""
-        removed = 0
-        for offer in list(self.offers.values()):
-            if offer.owner == owner:
-                self.cancel_offer(owner, offer.sequence)
-                removed += 1
-        return removed
+        """Cancel every live offer of ``owner`` (market-maker removal).
+
+        One pass over ``offers``, then each touched book drops exactly
+        those offer objects; what remains keeps its order.
+        """
+        raw = owner.raw
+        doomed = [key for key, offer in self.offers.items() if offer.owner.raw == raw]
+        gone: Dict[BookKey, Set[int]] = {}
+        for key in doomed:
+            offer = self.offers.pop(key)
+            gone.setdefault(offer.book_key, set()).add(id(offer))
+        for book_key, ids in gone.items():
+            book = self._books.get(book_key)
+            if book is not None:
+                book[:] = [offer for offer in book if id(offer) not in ids]
+        return len(doomed)
 
     # Iteration ----------------------------------------------------------------
 

@@ -117,6 +117,11 @@ class Cast:
     #: the 44-hop outlier chain of Fig. 6(a).
     long_chain: List[AccountID] = field(default_factory=list)
     labels: Dict[AccountID, str] = field(default_factory=dict)
+    #: currency code -> ascending indices of its issuing gateways, built on
+    #: the first :meth:`gateways_for` call (after tail adoption).
+    _issuers: Optional[Dict[str, List[int]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def label(self, account: AccountID) -> str:
         return self.labels.get(account, account.short())
@@ -131,12 +136,18 @@ class Cast:
         return any(gateway.account == account for gateway in self.gateways)
 
     def gateways_for(self, currency: Currency) -> List[int]:
-        """Indices of gateways issuing ``currency``."""
-        return [
-            index
-            for index, gateway in enumerate(self.gateways)
-            if currency in gateway.currencies
-        ]
+        """Indices of gateways issuing ``currency``, ascending.
+
+        Gateway currencies are final once :func:`build_cast` has adopted
+        the tail, so the index is built once, on the first call.
+        """
+        if self._issuers is None:
+            issuers: Dict[str, List[int]] = {}
+            for index, gateway in enumerate(self.gateways):
+                for code in dict.fromkeys(c.code for c in gateway.currencies):
+                    issuers.setdefault(code, []).append(index)
+            self._issuers = issuers
+        return list(self._issuers.get(currency.code, ()))
 
 
 def _mint(cast: Cast, state: LedgerState, name: str, drops: int) -> AccountID:
@@ -160,6 +171,29 @@ def build_cast(
     """
     cast = Cast()
     drops = config.activation_drops
+    # Amounts are frozen, so one instance per distinct (currency, value)
+    # serves every line that holds it.
+    amounts: Dict[Tuple[str, float], Amount] = {}
+
+    def amount(currency: Currency, value: float) -> Amount:
+        key = (currency.code, value)
+        found = amounts.get(key)
+        if found is None:
+            found = amounts[key] = Amount.from_value(currency, value)
+        return found
+
+    def trust(
+        truster: AccountID,
+        trustee: AccountID,
+        currency: Currency,
+        limit: float,
+        balance: float = 0.0,
+    ) -> None:
+        # Every cast line is new and opens with its balance in one step: a
+        # deposit equals set_trust plus a hop trustee -> truster.
+        state.open_line(
+            truster, trustee, amount(currency, limit), amount(currency, balance)
+        )
 
     # ACCOUNT_ZERO exists from genesis with the undistributed XRP supply.
     state.create_account(ACCOUNT_ZERO, 10 ** 11 * 10 ** 6)
@@ -203,9 +237,7 @@ def build_cast(
         for currency in shared:
             if currency.code not in major_codes:
                 continue
-            state.set_trust(
-                gateway.account, peer.account, Amount.from_value(currency, 5e5)
-            )
+            trust(gateway.account, peer.account, currency, 5e5)
 
     # --- Hubs (the CCK conduits) ---------------------------------------------
     activator = _mint(cast, state, HUB_ACTIVATOR, drops * 5)
@@ -219,8 +251,7 @@ def build_cast(
         for gateway in cast.gateways[:4]:
             btc = Currency("BTC")
             if btc in gateway.currencies:
-                state.set_trust(hub, gateway.account, Amount.from_value(btc, 1e4))
-                state.apply_hop(gateway.account, hub, Amount.from_value(btc, 2e3))
+                trust(hub, gateway.account, btc, 1e4, balance=2e3)
 
     # --- Market makers ----------------------------------------------------------
     # Makers hold serious XRP inventory (they quote the XRP auto-bridge).
@@ -242,12 +273,7 @@ def build_cast(
             deposit = MAKER_DEPOSIT_EUR / eur_value(currency)
             for gateway_index in cast.gateways_for(currency):
                 gateway = cast.gateways[gateway_index]
-                state.set_trust(
-                    account, gateway.account, Amount.from_value(currency, deposit * 10)
-                )
-                state.apply_hop(
-                    gateway.account, account, Amount.from_value(currency, deposit)
-                )
+                trust(account, gateway.account, currency, deposit * 10, balance=deposit)
                 # No gateway->maker trust: value flows maker -> gateway by
                 # settling the maker's deposit, so gateways keep the
                 # no-outgoing-trust profile of Fig. 7(b).
@@ -265,13 +291,12 @@ def build_cast(
                 line = state.trust_line(maker.account, gateway.account, currency)
                 if line is None:
                     deposit = MAKER_DEPOSIT_EUR / eur_value(currency)
-                    state.set_trust(
+                    trust(
                         maker.account,
                         gateway.account,
-                        Amount.from_value(currency, deposit * 10),
-                    )
-                    state.apply_hop(
-                        gateway.account, maker.account, Amount.from_value(currency, deposit)
+                        currency,
+                        deposit * 10,
+                        balance=deposit,
                     )
 
     # --- Users ---------------------------------------------------------------------
@@ -290,15 +315,13 @@ def build_cast(
             if (gateway_index, currency) in seats:
                 continue
             seats.append((gateway_index, currency))
-            state.set_trust(
-                account, gateway.account, Amount.from_value(currency, 1e6)
-            )
+            trust(account, gateway.account, currency, 1e6)
         # Every user joins the CCK swarm through exactly one hub; the hub
         # reciprocates with a micro-credit line.  Cross-hub payments then
         # ripple hubA -> hubB, putting *both* hubs on the path.
         hub = cast.hubs[index % len(cast.hubs)]
-        state.set_trust(account, hub, Amount.from_value(cck, 1e5))
-        state.set_trust(hub, account, Amount.from_value(cck, HUB_CCK_LIMIT))
+        trust(account, hub, cck, 1e5)
+        trust(hub, account, cck, HUB_CCK_LIMIT)
         state.account(account).allows_rippling = False
         cast.users.append(
             User(
@@ -313,8 +336,8 @@ def build_cast(
     # between users of different hubs flow user -> hubA -> hubB -> user.
     if len(cast.hubs) >= 2:
         first, second = cast.hubs[0], cast.hubs[1]
-        state.set_trust(first, second, Amount.from_value(cck, HUB_PEER_LIMIT))
-        state.set_trust(second, first, Amount.from_value(cck, HUB_PEER_LIMIT))
+        trust(first, second, cck, HUB_PEER_LIMIT)
+        trust(second, first, cck, HUB_PEER_LIMIT)
 
     # --- Special accounts ----------------------------------------------------------
     spin = _mint(cast, state, RIPPLE_SPIN, drops)
@@ -330,19 +353,19 @@ def build_cast(
         previous = attacker
         for hop_index in range(config.mtl_spam_hops):
             node = _mint(cast, state, f"mtl-relay-{path_index}-{hop_index}", drops)
-            state.set_trust(node, previous, Amount.from_value(mtl, INFRA_LIMIT))
+            trust(node, previous, mtl, INFRA_LIMIT)
             chain.append(node)
             previous = node
-        state.set_trust(sink, previous, Amount.from_value(mtl, INFRA_LIMIT))
+        trust(sink, previous, mtl, INFRA_LIMIT)
         cast.mtl_chains.append(chain)
 
     # The 44-intermediate-hop outlier chain of Fig. 6(a).
     previous = attacker
     for hop_index in range(44):
         node = _mint(cast, state, f"mtl-long-{hop_index}", drops)
-        state.set_trust(node, previous, Amount.from_value(mtl, INFRA_LIMIT))
+        trust(node, previous, mtl, INFRA_LIMIT)
         cast.long_chain.append(node)
         previous = node
-    state.set_trust(sink, previous, Amount.from_value(mtl, INFRA_LIMIT))
+    trust(sink, previous, mtl, INFRA_LIMIT)
 
     return cast

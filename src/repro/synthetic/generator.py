@@ -156,7 +156,8 @@ class LedgerHistoryGenerator:
         self.rng = np.random.default_rng(config.seed)
         self.state = LedgerState()
         currencies = [Currency(code) for code in config.currency_weights()]
-        self.cast = build_cast(config, self.state, self.rng, currencies)
+        with span("synthetic.build_cast"):
+            self.cast = build_cast(config, self.state, self.rng, currencies)
         self.engine = PaymentEngine(self.state)
         self.history = SyntheticHistory(
             config=config, cast=self.cast, state=self.state

@@ -100,6 +100,47 @@ class TestTrust:
         assert state.iou_balance(actors["gateway"], USD).to_float() == -500
 
 
+class TestOpenLine:
+    def test_equals_set_trust_then_deposit_hop(self, simple_state):
+        state, actors = simple_state
+        line = state.open_line(actors["bob"], actors["carol"], usd(800), usd(300))
+        state.set_trust(actors["carol"], actors["alice"], usd(800))
+        state.apply_hop(actors["alice"], actors["carol"], usd(300))
+        stepwise = state.trust_line(actors["carol"], actors["alice"], USD)
+        assert state.lines_trusted_by(actors["bob"])[-1] is line
+        assert state.lines_trusting(actors["carol"])[-1] is line
+        for name in ("limit", "balance", "_available", "_balance_float", "_available_float"):
+            assert getattr(line, name) == getattr(stepwise, name), name
+
+    def test_zero_balance_may_face_a_reverse_line(self, simple_state):
+        state, actors = simple_state
+        line = state.open_line(actors["gateway"], actors["alice"], usd(10), usd(0))
+        assert line.balance.is_zero and line.available_credit() == usd(10)
+
+    def test_deposit_facing_a_reverse_line_rejected(self, simple_state):
+        # gateway -> alice would first settle alice's line to the gateway.
+        state, actors = simple_state
+        with pytest.raises(TrustLineError):
+            state.open_line(actors["gateway"], actors["alice"], usd(10), usd(1))
+
+    def test_existing_line_rejected(self, simple_state):
+        state, actors = simple_state
+        with pytest.raises(LedgerError):
+            state.open_line(actors["alice"], actors["gateway"], usd(10), usd(0))
+
+    @pytest.mark.parametrize("balance", [-1, 11])
+    def test_balance_outside_limit_rejected(self, simple_state, balance):
+        state, actors = simple_state
+        with pytest.raises(TrustLineError):
+            state.open_line(actors["bob"], actors["carol"], usd(10), usd(balance))
+        assert state.trust_line(actors["bob"], actors["carol"], USD) is None
+
+    def test_unknown_account_rejected(self, simple_state):
+        state, actors = simple_state
+        with pytest.raises(UnknownAccountError):
+            state.open_line(account_from_name("ghost"), actors["bob"], usd(1), usd(0))
+
+
 class TestHops:
     def test_hop_capacity_combines_directions(self, simple_state):
         state, actors = simple_state
@@ -176,6 +217,49 @@ class TestOffers:
         state.place_offer(self.offer(actors, sequence=2))
         assert state.remove_all_offers_of(actors["alice"]) == 2
         assert state.book_offers(USD, EUR) == []
+
+
+def _remove_all_offers_loop(state, owner):
+    """The per-offer cancel loop ``remove_all_offers_of`` replaced."""
+    removed = 0
+    for offer in list(state.offers.values()):
+        if offer.owner == owner:
+            state.cancel_offer(owner, offer.sequence)
+            removed += 1
+    return removed
+
+
+class TestRemoveAllOffersOf:
+    def test_matches_per_offer_cancel_loop(self, history):
+        ours = copy.deepcopy(history.snapshot_state)
+        theirs = copy.deepcopy(history.snapshot_state)
+        book_key, book = max(ours._books.items(), key=lambda item: len(item[1]))
+        owners = list(dict.fromkeys(offer.owner for offer in book))
+        assert len(owners) >= 4
+        banned = set(owners[:3]) | {history.cast.gateway_accounts()[0]}
+        assert not ours.offers_by_owner(history.cast.gateway_accounts()[0])
+        # One consumed offer of a removed owner and one of a kept owner.
+        consumed = [
+            next(offer for offer in book if offer.owner in banned),
+            next(offer for offer in book if offer.owner not in banned),
+        ]
+        for state in (ours, theirs):
+            for offer in consumed:
+                twin = state.offers[offer.offer_id()]
+                twin.fill(twin.taker_gets)
+                assert twin.is_consumed
+        order = sorted(banned, key=lambda account: account.address)
+        counts = [ours.remove_all_offers_of(owner) for owner in order]
+        assert counts == [_remove_all_offers_loop(theirs, owner) for owner in order]
+        assert 0 in counts and sum(counts) > 3
+        assert list(ours.offers) == list(theirs.offers)
+        assert list(ours._books) == list(theirs._books)
+        for key, entries in theirs._books.items():
+            assert [o.offer_id() for o in ours._books[key]] == [
+                o.offer_id() for o in entries
+            ], key
+            assert all(ours.offers.get(o.offer_id()) is o for o in ours._books[key])
+        assert any(o.is_consumed for o in ours._books[book_key])
 
 
 # Structural snapshots -------------------------------------------------------
