@@ -9,7 +9,6 @@ reproducing the Fig. 2 total/valid bars and the robustness findings.
 Run:  python examples/consensus_monitor.py
 """
 
-from repro.analysis.validators import classify, summarize
 from repro.core.robustness import RobustnessStudy
 from repro.stream.periods import PERIODS
 
@@ -22,24 +21,25 @@ def main() -> None:
     study = RobustnessStudy.run(PERIODS, scale=SCALE, seed=23)
 
     for report in study.reports:
-        summary = summarize(report)
-        classes = classify(report)
+        active_non_ripple = [
+            name
+            for name in report.active_validators()
+            if not report.observation(name).is_ripple_labs
+        ]
         print(f"=== {report.period.label} ===")
         print(f"  simulated rounds          : {report.rounds} "
               f"(x{1 / report.scale:.0f} for the full two weeks)")
         print(f"  validated rounds          : {report.rounds_validated} "
               f"({report.availability:.1%} availability)")
-        print(f"  validators observed       : {summary.observed_non_ripple} + R1-R5")
-        print(f"  active contributors       : {summary.active_non_ripple} non-Ripple "
+        print(f"  validators observed       : {report.period.observed_count()} + R1-R5")
+        print(f"  active contributors       : {len(active_non_ripple)} non-Ripple "
               f"(paper: {dict(dec2015=3, jul2016=10, nov2016=8)[report.period.key]})")
-        print(f"  zero-valid validators     : {summary.zero_valid}")
+        print(f"  zero-valid validators     : {len(report.zero_valid_validators())}")
         print("  busiest validators (total / valid pages):")
         top = sorted(report.observations, key=lambda o: -o.valid_pages)[:8]
         for obs in top:
             tag = " [Ripple Labs]" if obs.is_ripple_labs else ""
             print(f"    {obs.name:26s} {obs.total_pages:6d} / {obs.valid_pages:6d}{tag}")
-        struggling = ", ".join(classes["struggling"][:4]) or "-"
-        print(f"  struggling (stale pages)  : {struggling}")
         print()
 
     print("=== Cross-period findings (Section IV) ===")

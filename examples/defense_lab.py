@@ -64,7 +64,7 @@ def main() -> None:
         funder, members = clusters[0]
         print(f"\nAttacker's counter: wallet linking. "
               f"{history.cast.label(funder)} activated {len(members)} wallets;")
-        linked = expand_dossier(dataset, members[0], history.records)
+        linked = expand_dossier(members[0], history.records)
         print(f"identifying any one of them exposes {len(linked)} linked accounts.")
 
 

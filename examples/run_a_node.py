@@ -6,8 +6,7 @@ This example drives the whole stack the way a Ripple client would:
 1. start a :class:`repro.RippledNode` with five validators;
 2. create accounts and trust lines via *signed transactions*;
 3. submit payments (including one doomed to fail) and watch ledgers close;
-4. read the public chain back — and point an arbitrage bot at the books,
-   the §III-C "financial bot" the paper describes.
+4. read the public chain back.
 
 Run:  python examples/run_a_node.py
 """
@@ -15,17 +14,12 @@ Run:  python examples/run_a_node.py
 from repro import RippledNode
 from repro.ledger import (
     Amount,
-    EUR,
     KeyPair,
-    Offer,
-    OfferCreate,
     Payment,
     TrustSet,
     USD,
-    XRP,
     account_from_name,
 )
-from repro.payments import ArbitrageBot
 
 
 def main() -> None:
@@ -34,7 +28,7 @@ def main() -> None:
     # --- Accounts (funded directly in state; clients would buy XRP) --------
     people = {}
     keys = {}
-    for name in ("alice", "bob", "gateway", "maker"):
+    for name in ("alice", "bob", "gateway"):
         account = account_from_name(name, namespace="run-a-node")
         node.state.create_account(account, 10_000 * 10 ** 6)
         people[name] = account
@@ -79,25 +73,6 @@ def main() -> None:
     print("\nThe public chain now contains "
           f"{node.chain.transaction_count()} transactions across "
           f"{len(node.chain) - 1} closed ledgers — visible to anyone, forever.")
-
-    # --- A §III-C arbitrage bot -----------------------------------------------
-    node.state.place_offer(Offer(owner=people["maker"], sequence=50,
-                                 taker_pays=Amount.from_value(XRP, 1_000),
-                                 taker_gets=Amount.from_value(USD, 11)))
-    node.state.place_offer(Offer(owner=people["maker"], sequence=51,
-                                 taker_pays=Amount.from_value(USD, 10),
-                                 taker_gets=Amount.from_value(XRP, 1_050)))
-    bot = ArbitrageBot(node.state, people["alice"])
-    opportunities = bot.find_opportunities([USD, EUR])
-    print(f"\nArbitrage scan: {len(opportunities)} profitable cycle(s)")
-    for quote in opportunities:
-        print(f"  {quote.label()}  capacity ~{quote.capacity_xrp:,.0f} XRP")
-    if opportunities:
-        result = bot.execute(opportunities[0], xrp_budget=500)
-        print(f"  executed: {result.xrp_in:,.1f} XRP in -> "
-              f"{result.xrp_out:,.1f} XRP out "
-              f"(profit {result.profit_xrp:,.2f} XRP)")
-        print("  arbitrage is allowed by design — the paper's financial bot.")
 
 
 if __name__ == "__main__":

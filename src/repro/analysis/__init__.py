@@ -1,15 +1,6 @@
 """Ledger analytics: the appendix studies and shared dataset machinery."""
 
 from repro.analysis.archive import dump_archive, iter_archive, load_archive
-from repro.analysis.export import (
-    export_figure2,
-    export_figure3,
-    export_figure4,
-    export_figure5,
-    export_figure6,
-    export_figure7,
-    export_table2,
-)
 from repro.analysis.population import (
     PopulationStats,
     growth_is_increasing,
@@ -43,14 +34,6 @@ from repro.analysis.market_makers import (
     table2,
 )
 from repro.analysis.paths import PathStructure, path_structure, spam_hop_attribution
-from repro.analysis.timeseries import (
-    Burst,
-    bucketize,
-    campaign_window,
-    concentration_in_time,
-    currency_series,
-    detect_bursts,
-)
 from repro.analysis.survival import (
     DEFAULT_GRID,
     FIGURE5_CURRENCIES,
@@ -59,29 +42,10 @@ from repro.analysis.survival import (
     figure5_curves,
     survival_curve,
 )
-from repro.analysis.validators import (
-    PeriodSummary,
-    classify,
-    figure2_rows,
-    summarize,
-)
 
 __all__ = [
     "CurrencyUsage",
     "PopulationStats",
-    "Burst",
-    "bucketize",
-    "campaign_window",
-    "concentration_in_time",
-    "currency_series",
-    "detect_bursts",
-    "export_figure2",
-    "export_figure3",
-    "export_figure4",
-    "export_figure5",
-    "export_figure6",
-    "export_figure7",
-    "export_table2",
     "growth_is_increasing",
     "monthly_volume",
     "population_stats",
@@ -94,17 +58,14 @@ __all__ = [
     "HubProfile",
     "OfferConcentration",
     "PathStructure",
-    "PeriodSummary",
     "ReplayResult",
     "ReplayRow",
     "SurvivalCurve",
     "TransactionDataset",
     "balance_eur",
-    "classify",
     "coverage_of_top",
     "currency_ranking",
     "curve_distance",
-    "figure2_rows",
     "figure5_curves",
     "gateway_count_in_top",
     "intermediary_counts",
@@ -114,7 +75,6 @@ __all__ = [
     "replay_without_market_makers",
     "share_of",
     "spam_hop_attribution",
-    "summarize",
     "survival_curve",
     "table2",
     "top_intermediaries",

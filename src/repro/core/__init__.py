@@ -10,7 +10,6 @@ from repro.core.attack import AttackResult, Observation, SideChannelAttack
 from repro.core.clustering import (
     activation_clusters,
     activation_edges,
-    behavioural_clusters,
     expand_dossier,
 )
 from repro.core.defenses import (
@@ -51,7 +50,6 @@ __all__ = [
     "activation_clusters",
     "activation_edges",
     "amount_padding",
-    "behavioural_clusters",
     "evaluate_defense",
     "expand_dossier",
     "per_payment_wallets",

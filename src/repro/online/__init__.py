@@ -2,9 +2,8 @@
 
 The batch pipeline computes every artifact from a frozen archive; this
 package is the *online* half of ROADMAP item 1.  A long-running ingest
-process tails a live event source — a
-:class:`~repro.stream.server.StreamServer` or a replayed archive — and
-maintains the paper's results incrementally:
+process tails an event source (a replayed archive) and maintains the
+paper's results incrementally:
 
 * an **online de-anonymizer**: one ⟨A, T, C, D⟩ fingerprint index per
   Fig. 3 feature list — the batch fold of :mod:`repro.core.fingerprint`,
@@ -36,7 +35,6 @@ from repro.online.events import (
     validation_event,
 )
 from repro.online.pipeline import (
-    BoundedEventQueue,
     IngestConfig,
     IngestPipeline,
     archive_event_source,
@@ -51,7 +49,6 @@ __all__ = [
     "EVENT_KINDS",
     "KIND_PAYMENT",
     "KIND_VALIDATION",
-    "BoundedEventQueue",
     "ForkWatch",
     "IngestConfig",
     "IngestEvent",

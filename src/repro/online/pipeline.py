@@ -2,8 +2,8 @@
 
 The order of operations is the whole durability story:
 
-1. pull the next event from the source (a bounded queue fed by a live
-   :class:`~repro.stream.server.StreamServer`, or a replayed archive);
+1. pull the next event from the source (any iterable of events; the
+   ``repro ingest`` command replays an archive);
 2. **append it to the WAL and fsync** — the event is now *accepted*;
 3. apply it to :class:`~repro.online.state.OnlineState` — a poison body
    is diverted to the quarantine sidecar instead (reason attached, state
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -61,8 +60,6 @@ class IngestConfig:
     wal_segment_events: int = 512
     #: Verified snapshots retained (older ones are pruned).
     keep_snapshots: int = 3
-    #: Bounded ingest queue depth for live sources.
-    queue_size: int = 1024
     #: Events between status.json refreshes (0 disables).
     status_every: int = 200
     #: fsync every accepted event (tests may disable for speed).
@@ -72,45 +69,6 @@ class IngestConfig:
 
     def path(self, name: str) -> str:
         return os.path.join(self.state_dir, name)
-
-
-class BoundedEventQueue:
-    """The backpressure boundary between a live source and the pipeline.
-
-    Producers (stream subscribers) block in :meth:`put` when the
-    pipeline falls behind; every blocking put is counted
-    (``online.backpressure.waits``) so lag is observable, not silent.
-    The queue is closed with a sentinel; iteration ends after it.
-    """
-
-    _SENTINEL = object()
-
-    def __init__(self, maxsize: int = 1024):
-        self._queue: "queue.Queue" = queue.Queue(maxsize=maxsize)
-        self.puts = 0
-        self.waits = 0
-
-    def put(self, event: IngestEvent) -> None:
-        self.puts += 1
-        try:
-            self._queue.put_nowait(event)
-        except queue.Full:
-            self.waits += 1
-            METRICS.count("online.backpressure.waits")
-            self._queue.put(event)
-
-    def depth(self) -> int:
-        return self._queue.qsize()
-
-    def close(self) -> None:
-        self._queue.put(self._SENTINEL)
-
-    def __iter__(self) -> Iterator[IngestEvent]:
-        while True:
-            item = self._queue.get()
-            if item is self._SENTINEL:
-                return
-            yield item
 
 
 def archive_event_source(
@@ -390,7 +348,6 @@ class IngestPipeline:
         self, phase: str, digest: Optional[str] = None
     ) -> None:
         """Refresh ``status.json`` (atomic; volatile wall-clock included)."""
-        counters = METRICS.counters
         payload = {
             "phase": phase,
             "pid": os.getpid(),
@@ -405,9 +362,6 @@ class IngestPipeline:
             "last_snapshot_seq": self._last_snapshot_seq,
             "replayed": self.replayed,
             "restarts": self.restarts,
-            "backpressure_waits": counters.get(
-                "online.backpressure.waits", 0
-            ),
             "updated_at": time.time(),
         }
         if digest is not None:

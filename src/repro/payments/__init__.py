@@ -4,7 +4,6 @@ Routing (trust graph + path finding), currency exchange (order books +
 bridging), and atomic execution of payments against ledger state.
 """
 
-from repro.payments.arbitrage import ArbitrageBot, ArbitrageResult, CycleQuote
 from repro.payments.bridging import BridgePlan, BridgeStep, plan_bridge, plan_same_currency_detour
 from repro.payments.engine import (
     FilteredTrustGraph,
@@ -29,10 +28,7 @@ from repro.payments.pathfinding import (
 )
 
 __all__ = [
-    "ArbitrageBot",
-    "ArbitrageResult",
     "BookQuote",
-    "CycleQuote",
     "DeliverabilityReport",
     "max_flow",
     "relayer_removal_curve",

@@ -17,7 +17,6 @@ from repro.stream.periods import (
     period,
     rounds_for_scale,
 )
-from repro.stream.recorder import StreamRecorder, iter_capture, replay_capture
 from repro.stream.server import StreamServer
 
 __all__ = [
@@ -29,9 +28,6 @@ __all__ = [
     "ROUNDS_PER_TWO_WEEKS",
     "StreamCollector",
     "StreamEvent",
-    "StreamRecorder",
-    "iter_capture",
-    "replay_capture",
     "StreamServer",
     "period",
     "rounds_for_scale",

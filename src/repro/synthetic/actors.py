@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import SyntheticError
 from repro.ledger.accounts import ACCOUNT_ZERO, AccountID, account_from_name
 from repro.ledger.amounts import Amount
 from repro.ledger.currency import Currency, eur_value
@@ -226,6 +227,17 @@ def build_cast(
             gateway = cast.gateways[gateway_index]
             gateway.currencies = gateway.currencies + (currency,)
         tail_adoptions.append((currency, (first, second)))
+    # Payments seat their parties at an issuer of the payment's currency,
+    # so every weighted IOU currency needs one (the hubs carry CCK and the
+    # spam chains MTL).
+    for currency in currencies:
+        if currency.code in ("XRP", "CCK", "MTL"):
+            continue
+        if not cast.gateways_for(currency):
+            raise SyntheticError(
+                f"no gateway issues {currency.code}; "
+                f"n_gateways={config.n_gateways} is too few"
+            )
 
     # Sparse direct gateway-to-gateway trust: only a few gateways declare
     # any outgoing trust at all (the paper finds 17/20 declare none), and
@@ -234,7 +246,7 @@ def build_cast(
     for index, gateway in enumerate(cast.gateways[:3]):
         peer = cast.gateways[(index + 1) % len(cast.gateways)]
         shared = set(gateway.currencies) & set(peer.currencies)
-        for currency in shared:
+        for currency in sorted(shared, key=lambda c: c.code):
             if currency.code not in major_codes:
                 continue
             trust(gateway.account, peer.account, currency, 5e5)

@@ -1,23 +1,8 @@
-"""Tests for population analytics and CSV export."""
-
-import csv
+"""Tests for population analytics."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.currencies import currency_ranking
-from repro.analysis.export import (
-    export_figure2,
-    export_figure3,
-    export_figure4,
-    export_figure5,
-    export_figure6,
-    export_figure7,
-    export_table2,
-)
-from repro.analysis.gateways import top_intermediaries
-from repro.analysis.market_makers import table2
-from repro.analysis.paths import path_structure
 from repro.analysis.population import (
     growth_is_increasing,
     monthly_volume,
@@ -25,8 +10,6 @@ from repro.analysis.population import (
     population_stats,
     top_senders,
 )
-from repro.analysis.survival import figure5_curves
-from repro.core.deanonymizer import Deanonymizer
 
 
 class TestPopulation:
@@ -68,59 +51,3 @@ class TestPopulation:
             np.unique(dataset.sender_ids), np.unique(dataset.destination_ids)
         )
         assert sum(registrations.values()) == len(seen)
-
-
-class TestExports:
-    def read(self, path):
-        with open(path) as handle:
-            return list(csv.reader(handle))
-
-    def test_export_figure3(self, dataset, tmp_path):
-        path = str(tmp_path / "fig3.csv")
-        gains = Deanonymizer(dataset).figure3()
-        assert export_figure3(gains, path) == 10
-        rows = self.read(path)
-        assert rows[0] == ["feature_list", "identified", "total", "percent"]
-        assert len(rows) == 11
-
-    def test_export_figure4(self, dataset, tmp_path):
-        path = str(tmp_path / "fig4.csv")
-        count = export_figure4(currency_ranking(dataset), path)
-        assert count > 10
-        rows = self.read(path)
-        assert rows[1][0] == "XRP"
-
-    def test_export_figure5(self, dataset, tmp_path):
-        path = str(tmp_path / "fig5.csv")
-        curves = figure5_curves(dataset)
-        export_figure5(curves, path)
-        rows = self.read(path)
-        assert rows[0][0] == "amount"
-        assert len(rows[0]) == len(curves) + 1
-
-    def test_export_figure6(self, dataset, tmp_path):
-        path = str(tmp_path / "fig6.csv")
-        export_figure6(path_structure(dataset), path)
-        rows = self.read(path)
-        series = {row[0] for row in rows[1:]}
-        assert series == {"hops", "parallel_paths"}
-
-    def test_export_figure7(self, history, tmp_path):
-        path = str(tmp_path / "fig7.csv")
-        count = export_figure7(top_intermediaries(history, 20), path)
-        assert count == 20
-
-    def test_export_table2(self, history, tmp_path):
-        path = str(tmp_path / "table2.csv")
-        assert export_table2(table2(history), path) == 3
-
-    def test_export_figure2(self, tmp_path):
-        from repro.core.robustness import run_period
-        from repro.stream.periods import period
-
-        report = run_period(period("dec2015"), scale=1 / 4000, seed=1)
-        path = str(tmp_path / "fig2.csv")
-        count = export_figure2(report, path)
-        assert count == len(report.observations)
-        rows = self.read(path)
-        assert rows[1][0] == "R1"

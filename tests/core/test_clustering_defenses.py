@@ -6,8 +6,6 @@ import pytest
 from repro.core.clustering import (
     activation_clusters,
     activation_edges,
-    behavioural_clusters,
-    behavioural_profiles,
     expand_dossier,
 )
 from repro.core.defenses import (
@@ -43,34 +41,11 @@ class TestActivationClustering:
         sizes = [len(accounts) for _, accounts in clusters]
         assert sizes == sorted(sizes, reverse=True)
 
-
-class TestBehaviouralLinking:
-    def test_profiles_need_minimum_history(self, dataset):
-        profiles = behavioural_profiles(dataset, min_payments=5)
-        counts = np.bincount(dataset.sender_ids)
-        eligible = int((counts >= 5).sum())
-        assert len(profiles) == eligible
-
-    def test_self_similarity_is_one(self, dataset):
-        profiles = behavioural_profiles(dataset, min_payments=5)
-        assert profiles[0].similarity(profiles[0]) == pytest.approx(1.0)
-
-    def test_similarity_symmetric(self, dataset):
-        profiles = behavioural_profiles(dataset, min_payments=5)
-        a, b = profiles[0], profiles[1]
-        assert a.similarity(b) == pytest.approx(b.similarity(a))
-
-    def test_high_threshold_fewer_clusters(self, dataset):
-        loose = behavioural_clusters(dataset, threshold=0.2, min_payments=8)
-        strict = behavioural_clusters(dataset, threshold=0.9, min_payments=8)
-        loose_members = sum(len(c) for c in loose)
-        strict_members = sum(len(c) for c in strict)
-        assert strict_members <= loose_members
-
-    def test_expand_dossier_includes_identity(self, dataset, history):
-        account = dataset.accounts[int(dataset.sender_ids[0])]
-        linked = expand_dossier(dataset, account, history.records, threshold=0.8)
-        assert account in linked
+    def test_expand_dossier_includes_identity(self, history):
+        funder, members = activation_clusters(history.records, min_size=2)[0]
+        linked = expand_dossier(members[0], history.records)
+        assert members[0] in linked
+        assert linked == set(members)
 
 
 class TestDefenses:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.validators import classify, figure2_rows, summarize
 from repro.core.robustness import RobustnessStudy, run_period
 from repro.stream.periods import PERIODS, period
 
@@ -96,21 +95,3 @@ class TestAcrossPeriods:
         # A handful of validators carries the protocol.
         assert exposure["top5"] > 0.5
         assert exposure["top9"] > 0.85
-
-
-class TestClassification:
-    def test_classes_partition(self, dec_report):
-        classes = classify(dec_report)
-        names = sum((members for members in classes.values()), [])
-        assert sorted(names) == sorted(obs.name for obs in dec_report.observations)
-
-    def test_summary(self, dec_report):
-        summary = summarize(dec_report)
-        assert summary.key == "dec2015"
-        assert summary.observed_non_ripple == 29
-        assert summary.active_non_ripple == 3
-
-    def test_figure2_rows_order(self, dec_report):
-        rows = figure2_rows(dec_report)
-        assert [name for name, _, _ in rows[:5]] == ["R1", "R2", "R3", "R4", "R5"]
-        assert len(rows) == len(dec_report.observations)

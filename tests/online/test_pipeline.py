@@ -19,7 +19,6 @@ from repro.durability.atomic import manifest_path
 from repro.errors import IngestError, IntegrityError
 from repro.obs.metrics import METRICS
 from repro.online import (
-    BoundedEventQueue,
     IngestConfig,
     IngestPipeline,
     archive_event_source,
@@ -300,29 +299,3 @@ class TestRecoveryEdges:
         resumed = IngestPipeline(cfg)
         assert resumed.recover() == 0
         assert resumed.state.digest() == digest
-
-
-class TestBoundedQueue:
-    def test_backpressure_is_counted(self):
-        queue = BoundedEventQueue(maxsize=1)
-        queue.put(payment_event(0, {}))
-        import threading
-
-        def drain_later():
-            import time
-
-            time.sleep(0.05)
-            list(itertools.islice(iter(queue), 1))
-
-        thread = threading.Thread(target=drain_later)
-        thread.start()
-        queue.put(payment_event(1, {}))  # must block until the drain
-        thread.join()
-        assert queue.waits == 1
-        assert METRICS.counters.get("online.backpressure.waits") == 1
-
-    def test_close_ends_iteration(self):
-        queue = BoundedEventQueue(maxsize=4)
-        queue.put(payment_event(0, {}))
-        queue.close()
-        assert [e.seq for e in queue] == [0]

@@ -1,5 +1,7 @@
 """Tests for the synthetic economy: config, workload, actors, generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.errors import SyntheticError
 from repro.ledger.accounts import ACCOUNT_ZERO
 from repro.ledger.currency import Currency
 from repro.ledger.state import LedgerState
+from repro.synthetic import generate_history
 from repro.synthetic.actors import build_cast
 from repro.synthetic.config import EconomyConfig, small_config
 from repro.synthetic.distributions import model_for, sample_amounts, survival_function
@@ -199,11 +202,43 @@ class TestCast:
         assert cast.label(cast.gateways[0].account) == cast.gateways[0].name
         assert cast.label(cast.hubs[0]) == "rp2PaY...X1mEx7"
 
+    @pytest.mark.parametrize("n_gateways", [2, 3, 4])
+    def test_too_few_gateways_to_issue_every_currency(self, n_gateways):
+        # The first four catalog gateways issue no JPY.
+        config = dataclasses.replace(small_config(n_payments=300), n_gateways=n_gateways)
+        with pytest.raises(SyntheticError, match="no gateway issues JPY"):
+            generate_history(config)
+
+    def test_gateway_to_gateway_lines_in_code_order(self):
+        # Three gateways without JPY in play: Bitstamp trusts its peer
+        # SnapSwap in both the majors they share, BTC and USD.
+        config = dataclasses.replace(small_config(), n_gateways=3)
+        currencies = [
+            Currency(code) for code in config.currency_weights() if code != "JPY"
+        ]
+        state = LedgerState()
+        cast = build_cast(config, state, np.random.default_rng(0), currencies)
+        bitstamp = cast.gateways[2]
+        lines = state.lines_trusted_by(bitstamp.account)
+        assert [line.currency.code for line in lines] == ["BTC", "USD"]
+        assert {line.trustee for line in lines} == {cast.gateways[0].account}
+
 
 class TestGenerator:
     def test_record_count_and_low_failure(self, history):
         assert len(history.records) == history.config.n_payments
         assert history.failed_payments <= history.config.n_payments * 0.02
+
+    def test_mtl_campaign_is_concentrated(self, history):
+        # MTL is one campaign; USD is organic traffic over the whole history.
+        def tightest_window(code, coverage=0.9):
+            times = np.sort(
+                [r.timestamp for r in history.records if r.currency == code and r.delivered]
+            )
+            keep = int(np.ceil(coverage * times.size))
+            return int((times[keep - 1:] - times[: times.size - keep + 1]).min())
+
+        assert tightest_window("MTL") < tightest_window("USD")
 
     def test_kind_composition(self, history):
         kinds = {}

@@ -1,16 +1,7 @@
-"""Tests for liquidity metrics, time-series bursts, and stream capture."""
+"""Tests for the exact max flow and the deliverability metrics."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.timeseries import (
-    bucketize,
-    campaign_window,
-    concentration_in_time,
-    currency_series,
-    detect_bursts,
-)
-from repro.errors import AnalysisError, StreamError
 from repro.ledger.accounts import account_from_name
 from repro.ledger.amounts import Amount
 from repro.ledger.currency import USD, Currency
@@ -21,10 +12,6 @@ from repro.payments.liquidity import (
     relayer_removal_curve,
     sample_deliverability,
 )
-from repro.stream.collector import StreamCollector
-from repro.stream.recorder import StreamRecorder, iter_capture, replay_capture
-from repro.stream.events import StreamEvent
-from repro.consensus.proposals import Validation
 
 
 def usd(value):
@@ -152,103 +139,3 @@ class TestDeliverability:
             seed=2,
         )
         assert curve[0][1] >= curve[-1][1]
-
-
-class TestTimeSeries:
-    def test_bucketize_covers_everything(self, dataset):
-        grid, counts = bucketize(dataset.timestamps)
-        assert counts.sum() == len(dataset)
-        assert len(grid) == len(counts)
-
-    def test_currency_series_shares_grid(self, dataset):
-        grid_all, _ = bucketize(dataset.timestamps)
-        grid_mtl, counts_mtl = currency_series(dataset, "MTL")
-        assert np.array_equal(grid_all, grid_mtl)
-        assert counts_mtl.sum() == int(dataset.rows_for_currency("MTL").sum())
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            bucketize(np.array([], dtype=np.int64))
-
-    def test_burst_detector_finds_synthetic_burst(self):
-        grid = np.arange(0, 100) * 1000
-        counts = np.full(100, 5)
-        counts[40:45] = 100
-        bursts = detect_bursts(grid, counts)
-        assert len(bursts) == 1
-        assert bursts[0].start == 40_000
-        assert bursts[0].peak_count == 100
-
-    def test_no_burst_in_flat_series(self):
-        grid = np.arange(0, 50) * 1000
-        counts = np.full(50, 7)
-        assert detect_bursts(grid, counts) == []
-
-    def test_mtl_campaign_is_concentrated(self, dataset):
-        # MTL is a campaign; USD is organic traffic.
-        assert concentration_in_time(dataset, "MTL") < concentration_in_time(
-            dataset, "USD"
-        )
-
-    def test_campaign_window_of_missing_currency(self, dataset):
-        assert campaign_window(dataset, "ZZZ") is None
-
-    def test_mtl_burst_detected_in_history(self, dataset):
-        grid, counts = currency_series(dataset, "MTL")
-        bursts = detect_bursts(grid, counts, threshold_factor=2.0)
-        assert bursts  # the mid-2014 campaign shows up
-        # Every detected peak falls inside the campaign's 90 % window.
-        window = campaign_window(dataset, "MTL")
-        assert window is not None
-        low, high = window
-        for burst in bursts:
-            assert low - 7 * 86400 <= burst.peak_bucket <= high + 7 * 86400
-
-
-class TestStreamRecorder:
-    def make_event(self, index):
-        return StreamEvent(
-            validation=Validation(
-                validator=f"v{index % 3}",
-                sequence=index,
-                page_hash=bytes([index % 256]) * 32,
-                sign_time=index * 5,
-            ),
-            received_at=index * 5 + 1,
-        )
-
-    def test_record_and_replay_roundtrip(self, tmp_path):
-        path = str(tmp_path / "capture.jsonl")
-        with StreamRecorder(path) as recorder:
-            for index in range(20):
-                recorder(self.make_event(index))
-            assert recorder.events_written == 20
-        events = list(iter_capture(path))
-        assert len(events) == 20
-        assert events[0].validator == "v0"
-        assert events[7].page_hash == bytes([7]) * 32
-
-    def test_replay_into_collector(self, tmp_path):
-        path = str(tmp_path / "capture.jsonl")
-        with StreamRecorder(path) as recorder:
-            for index in range(12):
-                recorder(self.make_event(index))
-        collector = StreamCollector()
-        assert replay_capture(path, collector) == 12
-        assert collector.total_counts() == {"v0": 4, "v1": 4, "v2": 4}
-
-    def test_unopened_recorder_raises(self, tmp_path):
-        recorder = StreamRecorder(str(tmp_path / "x.jsonl"))
-        with pytest.raises(StreamError):
-            recorder(self.make_event(0))
-
-    def test_missing_capture(self):
-        with pytest.raises(StreamError):
-            list(iter_capture("/nonexistent/capture.jsonl"))
-
-    def test_bad_header(self, tmp_path):
-        path = str(tmp_path / "bad.jsonl")
-        with open(path, "w") as handle:
-            handle.write("garbage\n")
-        with pytest.raises(StreamError):
-            list(iter_capture(path))
